@@ -355,9 +355,9 @@ def tune(config) -> TuningReport:
         prediction = _predict(candidate, config, n, devices, field_flops)
         predictions.append(prediction)
         if tracer is not None:
-            tracer.autotune("search", candidate=candidate.label,
-                            predicted_nsps=prediction.predicted_nsps,
-                            bound=prediction.bound)
+            tracer.event("autotune", "search", candidate=candidate.label,
+                         predicted_nsps=prediction.predicted_nsps,
+                         bound=prediction.bound)
     # Ties (e.g. AoS vs SoA when compute-bound) break toward the lower
     # roofline floor — less DRAM traffic is the safer pick off-model.
     predictions.sort(key=lambda p: (p.predicted_nsps,
@@ -370,9 +370,10 @@ def tune(config) -> TuningReport:
          and config.devices else config.device),
         scenario=config.scenario, n_particles=n, ranked=predictions)
     if tracer is not None:
-        tracer.autotune("selected", candidate=report.best.candidate.label,
-                        predicted_nsps=report.best.predicted_nsps,
-                        candidates=len(predictions))
+        tracer.event("autotune", "selected",
+                     candidate=report.best.candidate.label,
+                     predicted_nsps=report.best.predicted_nsps,
+                     candidates=len(predictions))
     return report
 
 
@@ -419,18 +420,18 @@ def check_calibration(prediction: CandidatePrediction,
     tracer = active_tracer()
     if relative <= tolerance:
         if tracer is not None:
-            tracer.autotune("calibrated",
-                            candidate=prediction.candidate.label,
-                            target=target, predicted_nsps=predicted,
-                            measured_nsps=measured_nsps,
-                            relative_error=relative)
+            tracer.event("autotune", "calibrated",
+                         candidate=prediction.candidate.label,
+                         target=target, predicted_nsps=predicted,
+                         measured_nsps=measured_nsps,
+                         relative_error=relative)
         return []
     if tracer is not None:
-        tracer.autotune("mispredict",
-                        candidate=prediction.candidate.label,
-                        target=target, predicted_nsps=predicted,
-                        measured_nsps=measured_nsps,
-                        relative_error=relative, tolerance=tolerance)
+        tracer.event("autotune", "mispredict",
+                     candidate=prediction.candidate.label,
+                     target=target, predicted_nsps=predicted,
+                     measured_nsps=measured_nsps,
+                     relative_error=relative, tolerance=tolerance)
     return [f"autotune mispredict on {target}: candidate "
             f"{prediction.candidate.label} predicted "
             f"{predicted:.3f} ns/particle/step but measured "

@@ -636,7 +636,7 @@ class PicConfig:
         device: Device spec, as in :class:`RunConfig`.
         fusion: True fuses the step's elementwise stages (gather,
             push, Monte Carlo) into one launch per species; False runs
-            the graph unfused; None keeps the legacy per-stage path.
+            the graph unfused.
         trace_path: Write a Chrome ``trace_event`` JSON here.
         persist_cache / program_cache: As in :class:`RunConfig`.
     """
@@ -651,7 +651,7 @@ class PicConfig:
     deposition: Optional[str] = None
     solver: Optional[str] = None
     device: str = "iris-xe-max"
-    fusion: Optional[bool] = True
+    fusion: bool = True
     trace_path: Optional[str] = None
     persist_cache: Optional[str] = None
     program_cache: Optional[object] = None
@@ -694,8 +694,8 @@ class PicReport:
     """What one :func:`run_pic` call produced.
 
     ``digest`` is :func:`repro.pic.engine.pic_state_digest` over the
-    final particles *and* grid — fused, unfused and legacy runs of the
-    same config must agree bit-for-bit.  ``energy_drift`` is the
+    final particles *and* grid — fused and unfused runs of the same
+    config must agree bit-for-bit.  ``energy_drift`` is the
     relative total-energy excursion over the measured steps (the
     scenario's validation figure); ``nsps`` is steady-state simulated
     nanoseconds per particle-step, as everywhere else in the repo.
@@ -714,7 +714,7 @@ class PicReport:
     energy_drift: float
     deposition: str
     solver: str
-    fusion: Optional[bool] = None
+    fusion: bool = True
     fusion_groups: int = 0
     kernels_eliminated: int = 0
     cache_stats: Dict[str, float] = field(default_factory=dict)
@@ -739,19 +739,17 @@ class PicReport:
                 tolerance: Optional[float] = None) -> Dict[str, object]:
         """Adapt this run into a schema-v1 regression cell."""
         from .regress.baseline import backend_of_device
-        fusion_label = {None: "legacy", True: "fused", False: "unfused"}
         metrics: Dict[str, float] = {
             "nsps": float(self.nsps),
             "cold_nsps": float(self.first_step_nsps),
+            "fusion_groups": float(self.fusion_groups),
+            "kernels_eliminated": float(self.kernels_eliminated),
         }
-        if self.fusion is not None:
-            metrics["fusion_groups"] = float(self.fusion_groups)
-            metrics["kernels_eliminated"] = float(self.kernels_eliminated)
         cell: Dict[str, object] = {
             "suite": suite,
             "backend": backend_of_device(self.device),
             "device": self.device,
-            "config": config or fusion_label[self.fusion],
+            "config": config or ("fused" if self.fusion else "unfused"),
             "layout": self.layout, "precision": self.precision,
             "scenario": self.scenario,
             "metrics": metrics,
@@ -779,7 +777,7 @@ def _execute_pic(config: PicConfig, validate: bool) -> PicReport:
     cache = _program_cache(config)
     queue = backend.make_queue(device, program_cache=cache)
     engine = PicEngine(queue, simulation, fusion=config.fusion,
-                       validate=validate and config.fusion is not None)
+                       validate=validate)
     history = EnergyHistory()
     history.record(simulation.time, simulation.grid,
                    simulation.ensembles)
@@ -787,10 +785,6 @@ def _execute_pic(config: PicConfig, validate: bool) -> PicReport:
         engine.step()
         history.record(simulation.time, simulation.grid,
                        simulation.ensembles)
-    if validate and config.fusion is None:
-        from .validation.hazard import assert_hazard_free
-        assert_hazard_free(queue.commands,
-                           in_order=queue.timeline.in_order)
     groups, eliminated = _plan_stats(engine.executor)
     n = simulation.ensembles[0].size
     return PicReport(

@@ -24,7 +24,7 @@ does not exist here); the real numpy kernels can be measured separately
 via :func:`repro.bench.metrics.measure_real_nsps`.
 
 Every runner reports into the observability layer when a tracer is
-installed (``python -m repro trace table2 --out t.json``, or
+installed (``python -m repro bench table2 --trace t.json``, or
 :func:`repro.observability.tracing` in code): one ``bench``-category
 span per artefact, one ``cell:...`` span per benchmark cell — the cell
 span is the scope under which the traced kernel statistics are keyed,

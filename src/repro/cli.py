@@ -8,16 +8,15 @@ Usage::
     python -m repro bench fusion --record            # append a v1 snapshot
     python -m repro devices           # device inventory, every backend
     python -m repro portability       # Pennycook PP score sweep
-    python -m repro trace table2 --out t.json   # traced run -> Chrome JSON
+    python -m repro bench table2 --trace t.json  # traced run -> Chrome JSON
 
 ``repro bench`` is the one entry point over every benchmark artefact
 and every committed baseline (see docs/BENCHMARKS.md): each suite is a
 declarative :class:`repro.regress.RegressionTest`, ``--regress`` runs
 the sanity + performance stages of the selected matrix and exits 1
 with a per-cell diff on drift, ``--record`` appends a schema-v1
-snapshot to ``benchmarks/BENCH_<suite>.json``.  The pre-PR9 artefact
-subcommands (``table2 table3 fig1 first-iter threads measure``) remain
-as deprecation shims with identical output and exit codes.
+snapshot to ``benchmarks/BENCH_<suite>.json``.  It is the only
+writer and the only checker of those files.
 
 Device flags accept backend-qualified specs (``cuda:gpu0``) anywhere a
 bare key (``cpu``, ``iris-xe-max``) works; ``repro devices --backend
@@ -27,11 +26,11 @@ portable configuration across the whole matrix (docs/BACKENDS.md).
 ``--particles`` scales the modelled ensemble (default: the paper's
 1e7; the model is O(1) in memory, so the default is cheap).
 
-Any command can also be traced in place with the ``--trace`` flag,
+Any command can be traced in place with the ``--trace`` flag,
 accepted before or after the command:
-``python -m repro table2 --trace out.json``.
-Both spellings write a Chrome ``trace_event`` file (open it in
-``chrome://tracing`` or https://ui.perfetto.dev) and print the
+``python -m repro bench table2 --trace out.json``.
+It writes a Chrome ``trace_event`` file (open it in
+``chrome://tracing`` or https://ui.perfetto.dev) and prints the
 per-kernel summary table; see ``docs/PROFILING.md``.
 
 Fault injection (see ``docs/RESILIENCE.md``) follows the same pattern:
@@ -41,7 +40,7 @@ drives a resilient push directly::
 
     python -m repro faults --plan device-loss --steps 20
     python -m repro faults --self-check        # chaos seed matrix
-    python -m repro table2 --fault-plan transient --fault-seed 7
+    python -m repro bench table2 --fault-plan transient --fault-seed 7
 
 ``python -m repro push`` is the facade command: one
 :class:`repro.api.RunConfig` driven end to end (single-device,
@@ -59,8 +58,8 @@ For these two commands the global ``--fault-plan`` scopes injection to
 *per-job* injectors instead of installing one process-wide.  See
 ``docs/SERVICE.md``.
 
-Runner commands (``table2 table3 shard faults push serve submit``, and
-``trace`` passing through) share one normalized flag set —
+Runner commands (``bench shard faults push pic serve submit``) share
+one normalized flag set —
 ``--device``, ``--group``, ``--precision``, ``--layout``, ``--record``,
 ``--record-dir`` — defined once in a parent parser, so every command
 spells them identically.
@@ -86,9 +85,9 @@ from .particles.ensemble import Layout
 
 __all__ = ["main"]
 
-#: The paper's ensemble size — the default of the legacy artefact
-#: shims (``repro bench`` instead replays each suite's committed
-#: baseline configuration when ``--particles`` is omitted).
+#: The paper's ensemble size — the default of ``repro validate``
+#: (``repro bench`` instead replays each suite's committed baseline
+#: configuration when ``--particles`` is omitted).
 DEFAULT_PARTICLES = 10_000_000
 
 
@@ -179,35 +178,6 @@ def _cmd_bench(args: argparse.Namespace) -> None:
             "(try 'repro bench --list')")
     for name in suites:
         _run_bench_suite(name, args, n=args.particles)
-
-
-def _deprecated_bench(suite_name: str, n_of=None):
-    """A legacy artefact subcommand, now a shim over ``repro bench``.
-
-    The shim warns only when invoked directly (``repro table2``), not
-    when routed through ``repro trace table2`` — tracing a deprecated
-    spelling the user never typed would be noise.  Output and exit
-    codes are unchanged: the suite renders the same artefact the old
-    handler printed.
-    """
-    def handler(args: argparse.Namespace) -> None:
-        if args.command == suite_name:
-            import warnings
-            message = (f"'repro {suite_name}' is deprecated; use "
-                       f"'repro bench {suite_name}'")
-            warnings.warn(message, DeprecationWarning, stacklevel=2)
-            print(f"note: {message}", file=sys.stderr)
-        _run_bench_suite(suite_name, args,
-                         n=None if n_of is None else n_of(args))
-    return handler
-
-
-_cmd_table2 = _deprecated_bench("table2", _particles)
-_cmd_table3 = _deprecated_bench("table3", _particles)
-_cmd_fig1 = _deprecated_bench("fig1", _particles)
-_cmd_first_iter = _deprecated_bench("first-iter", _particles)
-_cmd_threads = _deprecated_bench("threads", _particles)
-_cmd_measure = _deprecated_bench("measure")
 
 
 def _cmd_escape(args: argparse.Namespace) -> None:
@@ -314,14 +284,11 @@ def _cmd_devices(args: argparse.Namespace) -> None:
 
 
 def _cmd_portability(args: argparse.Namespace) -> None:
-    from .backends.portability import (PP_DRIFT_TOLERANCE,
-                                       check_drift, load_baseline,
-                                       measure_portability,
-                                       write_baseline)
+    from .backends.portability import measure_portability
     if args.portability_devices:
         devices = [d.strip()
                    for d in args.portability_devices.split(",")]
-    elif getattr(args, "device", None):
+    elif args.device:
         devices = [args.device]
     else:
         devices = None
@@ -340,20 +307,6 @@ def _cmd_portability(args: argparse.Namespace) -> None:
         "Performance portability — autotuned vs fixed SoA/float/fused"))
     print(f"PP score (harmonic mean of efficiencies): {report.pp:.4f} "
           f"over {len(report.devices)} devices — see docs/BACKENDS.md")
-    if getattr(args, "record", False):
-        directory = getattr(args, "record_dir", None) or "benchmarks"
-        path = write_baseline(
-            report, os.path.join(directory, "BENCH_portability.json"))
-        print(f"recorded baseline -> {path}")
-    elif args.check_baseline:
-        baseline = load_baseline(args.check_baseline)
-        findings = check_drift(report, baseline)
-        if findings:
-            for finding in findings:
-                print(f"drift: {finding}")
-            raise SystemExit(1)
-        print(f"within {PP_DRIFT_TOLERANCE:.0%} of the committed "
-              f"baseline (PP {baseline.pp:.4f})")
 
 
 def _cmd_shard(args: argparse.Namespace) -> None:
@@ -580,26 +533,22 @@ def _cmd_pic(args: argparse.Namespace) -> None:
         n_particles=args.pic_particles, steps=args.steps,
         warmup=args.warmup, seed=args.seed,
         deposition=args.deposition, solver=args.solver,
-        device=args.device or "iris-xe-max",
-        fusion=None if getattr(args, "legacy", False) else args.fusion)
+        device=args.device or "iris-xe-max", fusion=args.fusion)
     report = run_pic(config, validate=getattr(args, "validate", False))
-    fusion_label = {None: "legacy", True: "fused", False: "unfused"}
     rows = [
         ["scenario", report.scenario],
         ["device", report.device],
         ["layout/precision", f"{report.layout}/{report.precision}"],
         ["deposition/solver", f"{report.deposition}/{report.solver}"],
-        ["execution", fusion_label[report.fusion]],
+        ["execution", "fused" if report.fusion else "unfused"],
         ["steady NSPS", f"{report.nsps:.3f}"],
         ["first-step NSPS (cold)", f"{report.first_step_nsps:.3f}"],
         ["simulated seconds", f"{report.simulated_seconds:.6f}"],
         ["energy drift", f"{report.energy_drift:.3e}"],
         ["state digest (particles+grid)", report.digest[:16]],
+        ["fusion groups / kernels elided",
+         f"{report.fusion_groups} / {report.kernels_eliminated}"],
     ]
-    if report.fusion is not None:
-        rows.append(["fusion groups / kernels elided",
-                     f"{report.fusion_groups} / "
-                     f"{report.kernels_eliminated}"])
     if report.cache_stats:
         rows.append(["program cache",
                      f"{report.cache_stats['hits']:.0f} hits, "
@@ -720,11 +669,11 @@ def _add_fault_flags(parser: argparse.ArgumentParser, default) -> None:
 def _runner_parent() -> argparse.ArgumentParser:
     """The shared flag set of every runner command.
 
-    One definition, attached as an argparse *parent*, so ``table2``,
-    ``table3``, ``shard``, ``faults``, ``push`` and ``trace`` all spell
+    One definition, attached as an argparse *parent*, so ``bench``,
+    ``shard``, ``faults``, ``push`` and the other runners all spell
     device/group/precision/layout/record selection identically.
-    Commands map each flag onto their own semantics (a table command
-    filters recorded cells; ``shard`` builds its ensemble; ``faults``
+    Commands map each flag onto their own semantics (``bench`` filters
+    recorded cells; ``shard`` builds its ensemble; ``faults``
     reorders the fallback ladder).
     """
     parent = argparse.ArgumentParser(add_help=False)
@@ -766,9 +715,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "DPC++ paper from the simulated oneAPI runtime.")
     parser.add_argument("--particles", type=int, default=None,
                         help="modelled particle count (default: the "
-                             "paper's 1e7 for the legacy artefact "
-                             "commands; 'repro bench' replays each "
-                             "suite's committed baseline configuration)")
+                             "paper's 1e7 for 'repro validate'; 'repro "
+                             "bench' replays each suite's committed "
+                             "baseline configuration)")
     _add_trace_flag(parser, default=None)
     _add_fault_flags(parser, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -806,31 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--measure-steps", type=int, default=5,
                        help="timed steps of the 'measure' suite "
                             "(default 5)")
-    commands = [
-        bench,
-        sub.add_parser("table2",
-                       help="[deprecated: use 'bench table2'] "
-                            "Table 2: CPU NSPS",
-                       parents=[parent]),
-        sub.add_parser("table3",
-                       help="[deprecated: use 'bench table3'] "
-                            "Table 3: GPU NSPS",
-                       parents=[parent]),
-        sub.add_parser("fig1",
-                       help="[deprecated: use 'bench fig1'] "
-                            "Fig. 1: strong-scaling speedup"),
-        sub.add_parser("first-iter",
-                       help="[deprecated: use 'bench first-iter'] "
-                            "first-iteration slowdown"),
-        sub.add_parser("threads",
-                       help="[deprecated: use 'bench threads'] "
-                            "hyperthreading sweep"),
-    ]
-    measure = sub.add_parser("measure",
-                             help="[deprecated: use 'bench measure'] "
-                                  "time the real numpy kernels here")
-    measure.add_argument("--measure-particles", type=int, default=200_000)
-    measure.add_argument("--measure-steps", type=int, default=5)
     escape = sub.add_parser("escape",
                             help="particle-escape physics study")
     escape.add_argument("--power-pw", type=float, default=0.1,
@@ -964,14 +888,10 @@ def build_parser() -> argparse.ArgumentParser:
                      default=True,
                      help="kernel-graph execution: --fusion (default) "
                           "fuses the elementwise stages, --no-fusion "
-                          "runs the graph unfused; --legacy for the "
-                          "per-stage path")
-    pic.add_argument("--legacy", action="store_true",
-                     help="legacy per-stage launches (no graph, no "
-                          "fusion planning)")
+                          "runs the graph unfused")
     pic.add_argument("--validate", action="store_true",
                      help="replay every launch through the hazard "
-                          "detector after the run")
+                          "detector")
     from .service.scheduler import DEFAULT_FLEET
     serve = sub.add_parser(
         "serve", parents=[parent],
@@ -1067,10 +987,13 @@ def build_parser() -> argparse.ArgumentParser:
                               "'cuda'); validated by the registry, so "
                               "an unknown name exits 2")
     portability = sub.add_parser(
-        "portability", parents=[parent],
+        "portability",
         help="Pennycook PP sweep: autotuned vs fixed-config NSPS on "
-             "every device of every backend; --record writes "
-             "benchmarks/BENCH_portability.json (see docs/BACKENDS.md)")
+             "every device of every backend; record or regress the "
+             "baseline with 'repro bench portability' (see "
+             "docs/BACKENDS.md)")
+    portability.add_argument("--device", default=None, metavar="SPEC",
+                             help="score this one device spec")
     portability.add_argument("--portability-devices", default=None,
                              metavar="SPECS",
                              help="comma-separated device specs to "
@@ -1087,13 +1010,8 @@ def build_parser() -> argparse.ArgumentParser:
     portability.add_argument("--warmup", type=int, default=2,
                              help="warm-up steps excluded from steady "
                                   "NSPS (default 2)")
-    portability.add_argument("--check-baseline", default=None,
-                             metavar="PATH",
-                             help="compare against a committed "
-                                  "baseline and exit 1 on PP-score "
-                                  "drift beyond the tolerance")
-    commands += [
-        measure,
+    commands = [
+        bench,
         escape,
         sub.add_parser("roofline",
                        help="arithmetic-intensity analysis per device"),
@@ -1112,25 +1030,11 @@ def build_parser() -> argparse.ArgumentParser:
         # given before the command from being clobbered by the default
         _add_trace_flag(command, default=argparse.SUPPRESS)
         _add_fault_flags(command, default=argparse.SUPPRESS)
-    trace = sub.add_parser(
-        "trace", parents=[parent],
-        help="run a benchmark command under the tracer and write a "
-             "Chrome trace_event JSON")
-    trace.add_argument("trace_command", choices=sorted(TRACEABLE_COMMANDS),
-                       help="which artefact runner to trace")
-    trace.add_argument("--out", required=True, metavar="OUT.json",
-                       help="path of the Chrome trace to write")
     return parser
 
 
 _COMMANDS = {
     "bench": _cmd_bench,
-    "table2": _cmd_table2,
-    "table3": _cmd_table3,
-    "fig1": _cmd_fig1,
-    "first-iter": _cmd_first_iter,
-    "threads": _cmd_threads,
-    "measure": _cmd_measure,
     "escape": _cmd_escape,
     "roofline": _cmd_roofline,
     "validate": _cmd_validate,
@@ -1143,12 +1047,6 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "submit": _cmd_submit,
 }
-
-#: Commands `repro trace CMD` accepts: every runner whose only knob is
-#: the global --particles (commands with their own required options are
-#: traced via the global --trace flag instead).
-TRACEABLE_COMMANDS = ("table2", "table3", "fig1", "first-iter", "threads",
-                      "validate")
 
 
 def _run_traced(command: str, args: argparse.Namespace, out: str) -> None:
@@ -1182,15 +1080,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     command = args.command
     out = getattr(args, "trace", None)
-    if command == "trace":
-        command = args.trace_command
-        out = args.out
     if out is not None:
         # fail before the (possibly minutes-long) run, not at write time
         parent = os.path.dirname(os.path.abspath(out))
         if not os.path.isdir(parent):
-            parser.error(f"--trace/--out: directory {parent!r} does not "
-                         f"exist")
+            parser.error(f"--trace: directory {parent!r} does not exist")
     plan_name = getattr(args, "fault_plan", None)
     if plan_name is not None and getattr(args, "record", False):
         # The trajectory files feed the regression harness; an epoch

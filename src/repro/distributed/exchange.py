@@ -150,8 +150,9 @@ class ExchangeModel:
                     trace_args={"bytes": nbytes, "stalled": True})
                 deps = [stall]
                 if tracer is not None:
-                    tracer.fault("exchange-stall", device=member.name,
-                                 detail=name, attempt=attempt)
+                    tracer.event("fault", "exchange-stall",
+                                 device=member.name, detail=name,
+                                 attempt=attempt)
                 if attempt == self.policy.max_attempts - 1:
                     raise
             else:

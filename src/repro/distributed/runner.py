@@ -417,8 +417,8 @@ class ShardedPushEngine:
             return
         tracer = active_tracer()
         if tracer is not None:
-            tracer.recovery("rebalance", step=self.steps_done,
-                            counts=str(list(new_counts)))
+            tracer.event("recovery", "rebalance", step=self.steps_done,
+                         counts=str(list(new_counts)))
         self._gather()
         self._bank_busy_seconds()
         self.counts = list(new_counts)
@@ -456,9 +456,9 @@ class ShardedPushEngine:
             name = group.members[index].name
             tracer = active_tracer()
             if tracer is not None:
-                tracer.recovery("redistribute", device=name,
-                                step=self.steps_done,
-                                survivors=len(group) - 1)
+                tracer.event("recovery", "redistribute", device=name,
+                             step=self.steps_done,
+                             survivors=len(group) - 1)
             group = group.drop(index)
         self.group = group
         self.exchange = self._make_exchange(group)

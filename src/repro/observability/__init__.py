@@ -31,7 +31,7 @@ Capture a trace around any code that drives the simulated runtime::
         ...  # run kernels / bench runners / PIC steps
     write_chrome_trace(tracer, "trace.json")
 
-or from the command line: ``python -m repro trace table2 --out t.json``.
+or from the command line: ``python -m repro bench table2 --trace t.json``.
 See ``docs/PROFILING.md`` for the full guide and
 ``docs/ARCHITECTURE.md`` for how the instrumented modules fit together.
 """

@@ -6,7 +6,7 @@ the warm-up-skipping average that
 :func:`repro.bench.metrics.nsps_from_records` applies to queue records,
 so the NSPS printed from a trace is bit-identical to the NSPS the bench
 harness reports for the same launches — the invariant the
-``repro trace`` CLI and the regression-guard test rely on.
+``--trace`` CLI flag and the regression-guard test rely on.
 """
 
 from __future__ import annotations

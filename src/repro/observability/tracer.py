@@ -297,78 +297,28 @@ class Tracer:
                          misses=float(stats.misses),
                          jit_seconds_charged=float(stats.jit_seconds_charged))
 
-    # -- resilience events -----------------------------------------------
+    # -- typed subsystem events -------------------------------------------
 
-    def fault(self, kind: str, /, **args: Any) -> None:
-        """Report one injected fault (an instant in the ``fault``
-        category; ``args`` carry the injector's audit fields)."""
-        self.instant(f"fault:{kind}", "fault", **args)
+    def event(self, category: str, name: str, /, **args: Any) -> None:
+        """Report one subsystem event as a ``category:name`` instant.
 
-    def recovery(self, action: str, /, **args: Any) -> None:
-        """Report one recovery action (retry, scrub, watchdog giveup,
-        checkpoint, restore, device fallback) as a ``recovery``-category
-        instant."""
-        self.instant(f"recovery:{action}", "recovery", **args)
+        The one entry point for the subsystems' point events; each
+        owns a category:
 
-    # -- validation events -----------------------------------------------
+        * ``fault`` — an injected fault (``name`` is its kind);
+        * ``recovery`` — retry, scrub, watchdog giveup, checkpoint,
+          restore, device fallback, rebalance, redistribution;
+        * ``hazard`` — a detected RAW/WAR/WAW race, recorded before the
+          detector raises :class:`~repro.errors.HazardError` so the
+          trace keeps the evidence;
+        * ``validation`` — a differential check, named
+          ``pass:<check>`` or ``fail:<check>``;
+        * ``autotune`` — ``search``, ``selected``, ``calibrated`` or
+          ``mispredict`` (see ``docs/TUNING.md``).
 
-    def hazard(self, kind: str, earlier: str, later: str,
-               streams: Any, /, **args: Any) -> None:
-        """Report one detected memory hazard.
-
-        ``kind`` is "RAW", "WAR" or "WAW"; ``earlier``/``later`` name
-        the two conflicting commands in submission order; ``streams``
-        are the shared stream names they race on.  Recorded as a
-        ``hazard``-category instant — the detector raises
-        :class:`~repro.errors.HazardError` afterwards, so the trace
-        keeps the evidence even when the exception is caught.
+        ``args`` carry the event's audit fields.
         """
-        self.instant(f"hazard:{kind}", "hazard",
-                     earlier=earlier, later=later,
-                     streams=",".join(sorted(streams)), **args)
-
-    def validation(self, check: str, passed: bool, /, **args: Any) -> None:
-        """Report one differential-validation check outcome.
-
-        ``check`` identifies the comparison (e.g. ``"ulp:single/AoS"``
-        or ``"digest:sharded-gather"``); ``args`` carry its measured
-        numbers (max ULP distance, digests).  A ``validation``-category
-        instant, so traced runs record what was compared and how close
-        it came to the tolerance, not just pass/fail.
-        """
-        self.instant(f"validation:{'pass' if passed else 'fail'}:{check}",
-                     "validation", **args)
-
-    # -- service events ----------------------------------------------------
-
-    def job(self, name: str, event: str, /, **args: Any) -> None:
-        """Report one scheduler job lifecycle event.
-
-        ``name`` is the job's name, ``event`` the lifecycle transition
-        (``"submitted"``, ``"admitted"``, ``"launched"``,
-        ``"preempted"``, ``"device-lost"``, ``"restored"``,
-        ``"collected"``, ``"completed"``, ``"failed"``, ``"rejected"``
-        — see ``docs/SERVICE.md``).  Recorded as a ``service``-category
-        instant carrying the job name and the scheduler's simulated
-        clock, so a traced schedule shows every job's history next to
-        the kernel launches it caused.
-        """
-        self.instant(f"job:{event}", "service", job=name, **args)
-
-    # -- autotuning events -----------------------------------------------
-
-    def autotune(self, event: str, /, **args: Any) -> None:
-        """Report one autotuner event as an ``autotune``-category instant.
-
-        ``event`` is the stage: ``"search"`` (one candidate priced),
-        ``"selected"`` (the winning config), ``"calibrated"`` (measured
-        NSPS landed within tolerance of the prediction) or
-        ``"mispredict"`` (it did not — the cost model's picture of the
-        device disagrees with the simulated measurement; see
-        ``docs/TUNING.md`` for how to read these).  ``args`` carry the
-        candidate label and the predicted/measured numbers.
-        """
-        self.instant(f"autotune:{event}", "autotune", **args)
+        self.instant(f"{category}:{name}", category, **args)
 
 
 # -- the process-wide hook --------------------------------------------------

@@ -35,14 +35,16 @@ lists) and PR 8 added a portability baseline in a third, flat shape
 **Loading** accepts v0 files of both legacy shapes and migrates them
 in memory (``backend`` inferred from the device spec, the single
 ``nsps`` value moved under ``metrics``), so a checkout that still
-carries v0 baselines regresses fine.  **Writing** only ever emits v1:
-appending a snapshot to a v0 file first migrates its whole history.
+carries v0 baselines regresses fine.  **Writing** only ever emits v1,
+through :func:`append_snapshot`, the only writer: appending a
+snapshot to a v0 file first migrates its whole history.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -52,8 +54,8 @@ from .base import REQUIRED_KEY_FIELDS, cell_key
 
 __all__ = ["SCHEMA_VERSION", "BaselineCell", "BaselineSnapshot",
            "Baseline", "backend_of_device", "baseline_path",
-           "load_baseline", "write_baseline", "append_snapshot",
-           "migrate_document", "baseline_suites"]
+           "load_baseline", "append_snapshot", "migrate_document",
+           "baseline_suites", "git_sha"]
 
 #: The only schema version the writer emits.
 SCHEMA_VERSION = 1
@@ -320,7 +322,18 @@ def load_baseline(suite: str, directory=None) -> Optional[Baseline]:
     return migrate_document(suite, document)
 
 
-def write_baseline(baseline: Baseline, directory=None) -> Path:
+def git_sha() -> str:
+    """Current commit sha, or "unknown" outside a git checkout."""
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"],
+                             capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    sha = out.stdout.strip()
+    return sha if out.returncode == 0 and sha else "unknown"
+
+
+def _write(baseline: Baseline, directory=None) -> Path:
     """Write a whole baseline file — always schema v1, pretty-printed
     with a trailing newline (diff-friendly, like every committed
     artefact)."""
@@ -346,10 +359,9 @@ def append_snapshot(suite: str, cells: List[Dict[str, object]],
         raise ConfigurationError("refusing to record an empty snapshot")
     parsed = [BaselineCell.from_dict(cell) for cell in cells]
     baseline = load_baseline(suite, directory) or Baseline(suite=suite)
-    from ..bench.trajectory import git_sha
     baseline.snapshots.append(BaselineSnapshot(
         git_sha=sha if sha is not None else git_sha(),
         date=datetime.date.today().isoformat(),
         n_particles=int(n_particles), cells=parsed,
         params=dict(params or {})))
-    return write_baseline(baseline, directory)
+    return _write(baseline, directory)

@@ -114,8 +114,8 @@ class Checkpointer:
         self.saved_count += 1
         tracer = active_tracer()
         if tracer is not None:
-            tracer.recovery("checkpoint", step=step,
-                            saved=self.saved_count)
+            tracer.event("recovery", "checkpoint", step=step,
+                         saved=self.saved_count)
 
     # -- push-state flavour ----------------------------------------------
 

@@ -208,7 +208,7 @@ class FaultInjector:
             self.injected.append(fault)
             tracer = active_tracer()
             if tracer is not None:
-                tracer.fault(kind, op_index=op, detail=detail,
+                tracer.event("fault", kind, op_index=op, detail=detail,
                              device=device, total=len(self.injected))
         return inject
 

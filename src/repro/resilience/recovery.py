@@ -119,7 +119,7 @@ def _scrub_poison(spec) -> int:
 def _trace_recovery(action: str, **args) -> None:
     tracer = active_tracer()
     if tracer is not None:
-        tracer.recovery(action, **args)
+        tracer.event("recovery", action, **args)
 
 
 def run_with_retry(operation: Callable[[], object], queue, spec,

@@ -179,8 +179,8 @@ class ResilientPushEngine:
         self.devices_lost.append(self.device_name)
         tracer = active_tracer()
         if tracer is not None:
-            tracer.recovery("device-fallback", lost=self.device_name,
-                            step=self.step_index)
+            tracer.event("recovery", "device-fallback",
+                         lost=self.device_name, step=self.step_index)
         self.device_index += 1
         if self.device_index >= len(self.devices):
             raise DeviceLostError(
@@ -197,8 +197,8 @@ class ResilientPushEngine:
             self.time = time
             self.restores += 1
             if tracer is not None:
-                tracer.recovery("restore", step=step,
-                                device=self.devices[self.device_index])
+                tracer.event("recovery", "restore", step=step,
+                             device=self.devices[self.device_index])
         self._build(self.devices[self.device_index])
 
     # -- driving -----------------------------------------------------------

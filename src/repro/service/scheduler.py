@@ -218,8 +218,8 @@ class PushService:
         job.report.events.append(JobEvent(self.clock, event, detail))
         tracer = active_tracer()
         if tracer is not None:
-            tracer.job(job.spec.name, event, clock=self.clock,
-                       detail=detail)
+            tracer.instant(f"job:{event}", "service", job=job.spec.name,
+                           clock=self.clock, detail=detail)
         if self.on_event is not None:
             self.on_event(job.spec.name, event, detail)
 

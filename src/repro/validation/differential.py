@@ -207,6 +207,13 @@ class DifferentialReport:
         return "\n".join(lines)
 
 
+def _trace_check(tracer, check: str, passed: bool, /, **args) -> None:
+    """Record one check outcome as a ``validation:pass|fail:<check>``
+    instant carrying its measured numbers."""
+    tracer.event("validation", f"{'pass' if passed else 'fail'}:{check}",
+                 **args)
+
+
 def _make_queue(device_spec: str):
     from ..backends.registry import queue_for
 
@@ -324,8 +331,8 @@ def run_differential(n: int = 192, steps: int = 3,
                         f"tolerance {tols[precision]:.0f} ULP exceeded")
                     report.results.append(result)
                     if tracer is not None:
-                        tracer.validation(
-                            f"ulp:{result.label}", passed,
+                        _trace_check(
+                            tracer, f"ulp:{result.label}", passed,
                             max_ulp=max_ulp, worst_component=worst,
                             tolerance=tols[precision])
                     group = digests.setdefault(
@@ -344,8 +351,8 @@ def run_differential(n: int = 192, steps: int = 3,
                                 f"({parts})")
         report.digest_checks.append(check)
         if tracer is not None:
-            tracer.validation(f"digest:{name}", check.passed,
-                              distinct=len(by_digest))
+            _trace_check(tracer, f"digest:{name}", check.passed,
+                         distinct=len(by_digest))
     # Cross-layout agreement: identical seeded values through identical
     # elementwise arithmetic — strides must not change a single bit.
     for precision_name in sorted({p.value for p in precisions}):
@@ -361,8 +368,8 @@ def run_differential(n: int = 192, steps: int = 3,
                             f"{len(union)} distinct digests across layouts")
         report.digest_checks.append(check)
         if tracer is not None:
-            tracer.validation(f"digest:{name}", check.passed,
-                              distinct=len(union))
+            _trace_check(tracer, f"digest:{name}", check.passed,
+                         distinct=len(union))
     return report
 
 
@@ -371,15 +378,14 @@ def run_differential(n: int = 192, steps: int = 3,
 #: Execution modes of the PIC differential sweep.  ``reference`` is
 #: :meth:`~repro.pic.simulation.PicSimulation.run` driving the stage
 #: functions directly on the host; the other three are
-#: :class:`~repro.pic.engine.PicEngine` in its legacy / graph-unfused /
-#: graph-fused modes.  All four execute the *same* stage bodies in the
-#: same order, so unlike the push sweep the agreement contract is
-#: bitwise, not ULP-bounded: every mode of every layout must land in
-#: one digest group.
-PIC_MODES: Tuple[Optional[object], ...] = ("reference", None, False, True)
+#: :class:`~repro.pic.engine.PicEngine` with fusion off / on.  All
+#: three execute the *same* stage bodies in the same order, so unlike
+#: the push sweep the agreement contract is bitwise, not ULP-bounded:
+#: every mode of every layout must land in one digest group.
+PIC_MODES: Tuple[object, ...] = ("reference", False, True)
 
-_PIC_MODE_LABELS = {"reference": "reference", None: "legacy",
-                    False: "unfused", True: "fused"}
+_PIC_MODE_LABELS = {"reference": "reference", False: "unfused",
+                    True: "fused"}
 
 
 def run_pic_differential(n: int = 192, steps: int = 3,
@@ -389,7 +395,7 @@ def run_pic_differential(n: int = 192, steps: int = 3,
                                                       Layout.SOA),
                          precisions: Sequence[Precision] = (
                              Precision.DOUBLE,),
-                         modes: Sequence[Optional[object]] = PIC_MODES,
+                         modes: Sequence[object] = PIC_MODES,
                          seed: int = 0) -> DifferentialReport:
     """Differential sweep over the full PIC step (gather / push /
     Monte Carlo / deposit / field advance).
@@ -466,9 +472,8 @@ def run_pic_differential(n: int = 192, steps: int = 3,
                         "digest differs from the reference run")
                     report.results.append(result)
                     if tracer is not None:
-                        tracer.validation(f"pic:{label}", passed,
-                                          digest=digest[:12],
-                                          commands=checked)
+                        _trace_check(tracer, f"pic:{label}", passed,
+                                     digest=digest[:12], commands=checked)
                     group.setdefault(digest, []).append(label)
     for (cell_name, precision_name), by_digest in sorted(digests.items()):
         name = f"{cell_name}/{precision_name} bit-exact group"
@@ -483,8 +488,8 @@ def run_pic_differential(n: int = 192, steps: int = 3,
                                 f"({parts})")
         report.digest_checks.append(check)
         if tracer is not None:
-            tracer.validation(f"digest:{name}", check.passed,
-                              distinct=len(by_digest))
+            _trace_check(tracer, f"digest:{name}", check.passed,
+                         distinct=len(by_digest))
     # Cross-layout agreement per scenario: the digest hashes a
     # contiguous copy of each component, so AoS and SoA runs of the
     # same seeded scenario must agree to the bit.
@@ -504,8 +509,8 @@ def run_pic_differential(n: int = 192, steps: int = 3,
                                 f"across layouts")
             report.digest_checks.append(check)
             if tracer is not None:
-                tracer.validation(f"digest:{name}", check.passed,
-                                  distinct=len(union))
+                _trace_check(tracer, f"digest:{name}", check.passed,
+                             distinct=len(union))
     return report
 
 
@@ -562,10 +567,10 @@ def validate_run(config, ensemble: ParticleEnsemble, queues: Sequence,
     tolerance = ULP_TOLERANCES[config.precision]
     tracer = active_tracer()
     if tracer is not None:
-        tracer.validation(f"run:{config.mode}", max_ulp <= tolerance,
-                          max_ulp=max_ulp, worst_component=worst,
-                          tolerance=tolerance, sample=sample,
-                          commands=commands_checked)
+        _trace_check(tracer, f"run:{config.mode}", max_ulp <= tolerance,
+                     max_ulp=max_ulp, worst_component=worst,
+                     tolerance=tolerance, sample=sample,
+                     commands=commands_checked)
     if max_ulp > tolerance:
         raise ValidationError(
             f"{config.mode} run diverged from the scalar reference: "

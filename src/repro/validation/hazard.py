@@ -29,8 +29,9 @@ hazard.  Each queue owns its own address space (a sharded run's member
 queues touch *different* ensembles under the same stream names), so
 logs are checked per queue, never concatenated across queues.
 
-Found hazards are reported through the active tracer
-(:meth:`~repro.observability.tracer.Tracer.hazard`) before
+Found hazards are reported through the active tracer as
+``hazard:<kind>`` events
+(:meth:`~repro.observability.tracer.Tracer.event`) before
 :func:`assert_hazard_free` raises :class:`~repro.errors.HazardError`,
 so a traced run keeps the evidence even when the exception is caught.
 """
@@ -117,8 +118,10 @@ def find_hazards(commands: Sequence, in_order: bool = False
                 hazards.append(Hazard(kind, earlier.name, later.name,
                                       frozenset(shared), i, j))
                 if tracer is not None:
-                    tracer.hazard(kind, earlier.name, later.name, shared,
-                                  earlier_index=i, later_index=j)
+                    tracer.event("hazard", kind, earlier=earlier.name,
+                                 later=later.name,
+                                 streams=",".join(sorted(shared)),
+                                 earlier_index=i, later_index=j)
     return hazards
 
 

@@ -178,15 +178,10 @@ class TestCliNormalizedFlags:
     def test_runner_commands_share_flag_set(self):
         from repro.cli import build_parser
         parser = build_parser()
-        for command in ("table2", "table3", "shard", "faults", "push",
-                        "trace"):
-            if command == "trace":
-                argv = [command, "table2", "--out", "/tmp/x.json"]
-            else:
-                argv = [command]
+        for command in ("bench", "shard", "faults", "push"):
             args = parser.parse_args(
-                argv + ["--layout", "SoA", "--precision", "float",
-                        "--record"])
+                [command, "--layout", "SoA", "--precision", "float",
+                 "--record"])
             assert args.layout == "SoA"
             assert args.precision == "float"
             assert args.record is True

@@ -16,12 +16,10 @@ import pytest
 
 from repro.bench import paper_time_step, paper_wave
 from repro.bench.scenarios import paper_ensemble
-from repro.bench.trajectory import (append_snapshot, latest_snapshot,
-                                    load_trajectory, trajectory_path)
 from repro.distributed import (DeviceGroup, ExchangePolicy, NspsRebalancer,
                                ShardedPushEngine)
 from repro.errors import (ConfigurationError, DeviceLostError,
-                          ExchangeTimeoutError)
+                          ExchangeTimeoutError, ValidationError)
 from repro.fp import Precision
 from repro.observability import Tracer, tracing
 from repro.oneapi.runtime import PushEngine
@@ -181,35 +179,40 @@ def test_device_loss_redistributes_and_matches_fault_free_bits():
 
 # -- the committed performance trajectory ----------------------------------
 
+def _shard_cell(config, nsps):
+    return {"suite": "smoke", "backend": "oneapi",
+            "device": "2x iris-xe-max", "config": config,
+            "metrics": {"nsps": nsps}}
+
+
 def test_trajectory_round_trip(tmp_path):
-    cells = [{"config": "sharded/even", "nsps": 1.25}]
-    path = append_snapshot("smoke", cells, 1000, directory=tmp_path,
-                           sha="abc123")
-    assert path == trajectory_path("smoke", tmp_path)
-    append_snapshot("smoke", [{"config": "x", "nsps": 1.5}], 1000,
+    from repro.regress import append_snapshot, baseline_path, load_baseline
+    path = append_snapshot("smoke", [_shard_cell("sharded/even", 1.25)],
+                           1000, directory=tmp_path, sha="abc123")
+    assert path == baseline_path("smoke", tmp_path)
+    append_snapshot("smoke", [_shard_cell("x", 1.5)], 1000,
                     directory=tmp_path, sha="def456")
-    document = load_trajectory("smoke", tmp_path)
-    assert [s["git_sha"] for s in document["snapshots"]] == \
-        ["abc123", "def456"]
-    latest = latest_snapshot("smoke", tmp_path)
-    assert latest["cells"][0]["nsps"] == 1.5
-    assert latest["n_particles"] == 1000
+    baseline = load_baseline("smoke", tmp_path)
+    assert [s.git_sha for s in baseline.snapshots] == ["abc123", "def456"]
+    assert baseline.latest.cells[0].metrics["nsps"] == 1.5
+    assert baseline.latest.n_particles == 1000
 
 
 def test_trajectory_validation(tmp_path):
-    assert latest_snapshot("absent", tmp_path) is None
+    from repro.regress import append_snapshot, baseline_path, load_baseline
+    assert load_baseline("absent", tmp_path) is None
     with pytest.raises(ConfigurationError):
         append_snapshot("smoke", [], 10, directory=tmp_path)
+    with pytest.raises(ValidationError):
+        append_snapshot("smoke", [{"suite": "smoke", "backend": "oneapi",
+                                   "device": "cpu", "config": "no-nsps"}],
+                        10, directory=tmp_path)
     with pytest.raises(ConfigurationError):
-        append_snapshot("smoke", [{"config": "no-nsps"}], 10,
-                        directory=tmp_path)
-    with pytest.raises(ConfigurationError):
-        trajectory_path("../escape")
-    other = trajectory_path("other", tmp_path)
-    other.parent.mkdir(parents=True, exist_ok=True)
+        baseline_path("../escape")
+    other = baseline_path("other", tmp_path)
     other.write_text('{"scenario": "mismatched", "snapshots": []}')
-    with pytest.raises(ConfigurationError):
-        load_trajectory("other", tmp_path)
+    with pytest.raises(ValidationError):
+        load_baseline("other", tmp_path)
 
 
 # -- CLI ---------------------------------------------------------------------

@@ -83,6 +83,14 @@ class TestSpanNesting:
         finally:
             install_tracer(None)
 
+    def test_event_is_a_category_prefixed_instant(self):
+        tracer = Tracer()
+        tracer.event("recovery", "restore", step=3, device="cpu")
+        (instant,) = tracer.instants
+        assert instant.name == "recovery:restore"
+        assert instant.category == "recovery"
+        assert dict(instant.args) == {"step": 3, "device": "cpu"}
+
 
 def traced_small_cell():
     """Run the small NUMA benchmark cell under a fresh tracer."""
@@ -286,3 +294,19 @@ class TestRetryAccounting:
         names = [i.name for i in tracer.instants]
         assert "fault:launch-failure" in names
         assert "recovery:retry" in names
+
+
+class TestCliTrace:
+    def test_global_trace_flag_writes_chrome_trace(self, tmp_path,
+                                                   capsys):
+        from repro.cli import main
+        from repro.observability.export import SIM_PID
+        out = tmp_path / "t.json"
+        assert main(["--particles", "100000", "bench", "first-iter",
+                     "--trace", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        launches = [e for e in doc["traceEvents"]
+                    if e["ph"] == "X" and e["pid"] == SIM_PID]
+        assert len(launches) >= 1
+        assert doc["otherData"]["kernels"]
+        assert f"trace written to {out}" in capsys.readouterr().out

@@ -29,7 +29,7 @@ class TestBitExactness:
         reference = scenario(layout=layout, precision=precision)
         reference.run(STEPS)
         expected = pic_state_digest(reference)
-        for fusion in (None, False, True):
+        for fusion in (False, True):
             simulation = scenario(layout=layout, precision=precision)
             engine_for(simulation, fusion).run(STEPS)
             assert pic_state_digest(simulation) == expected, \
@@ -45,9 +45,9 @@ class TestBitExactness:
 
     @pytest.mark.parametrize("name", ["magnetic-mirror",
                                       "relativistic-beam"])
-    def test_other_scenarios_fused_equals_legacy(self, name):
+    def test_other_scenarios_fused_equals_unfused(self, name):
         digests = set()
-        for fusion in (None, True):
+        for fusion in (False, True):
             simulation = scenario(name)
             engine_for(simulation, fusion).run(STEPS)
             digests.add(pic_state_digest(simulation))
@@ -113,7 +113,7 @@ class TestGraphLowering:
 
 class TestHazards:
     def test_engine_replay_is_hazard_free(self):
-        for fusion in (None, False, True):
+        for fusion in (False, True):
             simulation = scenario()
             engine = engine_for(simulation, fusion)
             engine.run(STEPS)
@@ -125,11 +125,6 @@ class TestHazards:
         queue = queue_for("iris-xe-max")
         PicEngine(queue, simulation, fusion=True, validate=True).run(STEPS)
 
-    def test_validate_requires_the_graph_path(self):
-        with pytest.raises(ConfigurationError):
-            PicEngine(queue_for("iris-xe-max"), scenario(),
-                      fusion=None, validate=True)
-
 
 class TestStepping:
     def test_step_seconds_accumulate(self):
@@ -140,7 +135,7 @@ class TestStepping:
 
     def test_step_count_advances(self):
         simulation = scenario()
-        engine = engine_for(simulation, None)
+        engine = engine_for(simulation, True)
         engine.run(STEPS)
         assert simulation.step_count == STEPS
 
@@ -166,18 +161,22 @@ class TestFacade:
     def test_run_pic_modes_agree(self):
         from repro.api import run_pic
         digests = set()
-        for fusion in (None, False, True):
+        for fusion in (False, True):
             report = run_pic(self.config(fusion=fusion))
             digests.add(report.digest)
             assert report.nsps > 0.0
             assert np.isfinite(report.energy_drift)
         assert len(digests) == 1
 
-    def test_run_pic_validate(self):
+    @pytest.mark.parametrize("fusion", [True, False])
+    def test_run_pic_validate(self, fusion):
+        # the executor replays every step's launches through the hazard
+        # detector on both graph paths
         from repro.api import run_pic
-        report = run_pic(self.config(fusion=True), validate=True)
-        assert report.fusion_groups > 0
-        assert report.kernels_eliminated > 0
+        report = run_pic(self.config(fusion=fusion), validate=True)
+        assert report.fusion == fusion
+        assert (report.fusion_groups > 0) == fusion
+        assert (report.kernels_eliminated > 0) == fusion
 
     def test_unknown_scenario_maps_to_configuration_error(self):
         from repro.api import run_pic

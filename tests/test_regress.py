@@ -13,7 +13,7 @@ Covers the PR 9 surface end to end:
   drifted, missing and new cells;
 * ``repro bench`` exit codes: 0 green, 1 on injected drift (with the
   per-cell diff naming suite/device/backend/config), 2 on bad filters
-  and unknown suites; the legacy subcommands warning as shims.
+  and unknown suites; the removed pre-``bench`` spellings rejected.
 """
 
 import json
@@ -30,7 +30,7 @@ from repro.regress import (Baseline, BaselineCell, RegressionTest,
                            backend_of_device, baseline_path, cell_label,
                            compare_cells, load_baseline, parse_filter,
                            relative_drift, run_regression,
-                           within_tolerance, write_baseline)
+                           within_tolerance)
 
 REPO_BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -129,15 +129,18 @@ def test_trajectory_v0_round_trip(tmp_path):
     assert cell.keys["backend"] == "oneapi"       # inferred
     assert cell.keys["suite"] == "shard"
     assert cell.metrics == {"nsps": 0.5, "n_devices": 2.0}
-    # write -> v1 on disk, identical in-memory content after reload
-    write_baseline(baseline, tmp_path)
+    # append -> v1 on disk, the v0 history intact after reload
+    append_snapshot("shard", [cell.as_dict()], 1000, directory=tmp_path,
+                    sha="def456")
     document = json.loads(baseline_path("shard", tmp_path).read_text())
     assert document["schema_version"] == SCHEMA_VERSION
     assert document["suite"] == "shard"
     reloaded = load_baseline("shard", tmp_path)
-    assert reloaded.latest.git_sha == "abc123"
-    assert reloaded.latest.cells[0].identity == cell.identity
-    assert reloaded.latest.cells[0].metrics == cell.metrics
+    first = reloaded.snapshots[0]
+    assert first.git_sha == "abc123"
+    assert first.cells[0].identity == cell.identity
+    assert first.cells[0].metrics == cell.metrics
+    assert reloaded.latest.git_sha == "def456"
 
 
 def test_portability_v0_round_trip(tmp_path):
@@ -159,13 +162,16 @@ def test_portability_v0_round_trip(tmp_path):
     assert len([c for c in cells
                 if c.keys["config"] == "efficiency"]) == 2
     assert baseline.latest.params == {"steps": 4, "warmup": 2}
-    # the PortabilityReport view survives the v1 round trip too
-    from repro.backends import portability as p
-    write_baseline(baseline, tmp_path)
-    report = p.load_baseline(baseline_path("portability", tmp_path))
-    assert report.pp == 0.9
-    assert {r.device for r in report.devices} == {"cpu", "cuda:gpu0"}
-    assert report.steps == 4 and report.n_particles == 100
+    # the migrated snapshot survives a v1 append unchanged
+    append_snapshot("portability", [pp[0].as_dict()], 100,
+                    directory=tmp_path)
+    first = load_baseline("portability", tmp_path).snapshots[0]
+    assert [c.metrics for c in first.cells if c.keys["config"] == "pp"] \
+        == [{"pp": 0.9}]
+    assert {c.keys["device"] for c in first.cells
+            if c.keys["config"] == "efficiency"} == {"cpu", "cuda:gpu0"}
+    assert first.params == {"steps": 4, "warmup": 2}
+    assert first.n_particles == 100
 
 
 def test_writer_only_emits_v1(tmp_path):
@@ -332,16 +338,19 @@ def test_cli_bench_record_then_regress(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_cli_legacy_shims_warn_and_keep_output(capsys):
-    with pytest.warns(DeprecationWarning, match="repro threads"):
-        assert main(["--particles", "100000", "threads"]) == 0
-    captured = capsys.readouterr()
-    assert "Hyperthreading sweep" in captured.out
-    assert "deprecated" in captured.err
-    with pytest.warns(DeprecationWarning, match="repro first-iter"):
-        assert main(["--particles", "100000", "first-iter"]) == 0
-    assert "first iteration / steady iteration" in \
-        capsys.readouterr().out
+@pytest.mark.parametrize("argv", [
+    ["table2"], ["table3"], ["fig1"], ["first-iter"], ["threads"],
+    ["measure"], ["trace", "first-iter", "--out", "t.json"],
+    ["pic", "--legacy"], ["portability", "--record"],
+    ["portability", "--check-baseline", "b.json"]])
+def test_cli_removed_spellings_rejected(argv, capsys):
+    """The pre-``bench`` artefact commands, ``repro trace``, the PIC
+    legacy path and the portability baseline flags are gone: argparse
+    rejects them before anything runs."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_cli_bench_smoke_filter_is_green(capsys):

@@ -43,8 +43,8 @@ from ..observability.tracer import active_tracer
 from ..oneapi.costmodel import CostModel
 from ..oneapi.device import DeviceDescriptor, DeviceType
 from ..oneapi.graph import FusionPass, KernelGraph, KernelNode, unfused_plan
-from ..oneapi.runtime import (PRECALCULATED, build_virtual_push_spec,
-                              build_virtual_step_graph)
+from ..oneapi.runtime import (PRECALCULATED, build_push_spec,
+                              build_step_graph, build_step_specs)
 from ..particles.ensemble import Layout
 from .roofline import GraphRoofline, analyze_graph
 
@@ -244,20 +244,19 @@ def _candidate_graph(candidate: Candidate, config, n: int,
     particles — the engine's legacy single launch as a one-node graph,
     or the graph path's field-eval/push(/diagnostics) chain."""
     scenario = config.scenario
+    layout, precision = candidate.layout, candidate.precision
+    flops = field_flops if scenario != PRECALCULATED else 0.0
     if candidate.fusion is None:
         graph = KernelGraph()
-        flops = field_flops if scenario != PRECALCULATED else 0.0
         graph.add(KernelNode(
-            spec=build_virtual_push_spec(n, candidate.layout,
-                                         candidate.precision, scenario,
-                                         None, field_flops=flops),
-            n_items=n, layout=candidate.layout.value,
-            precision=candidate.precision, tag="push"))
+            spec=build_push_spec(n, layout, precision, scenario,
+                                 field_flops=flops),
+            n_items=n, layout=layout.value, precision=precision,
+            tag="push"))
         return graph
-    return build_virtual_step_graph(
-        n, candidate.layout, candidate.precision, scenario,
-        field_flops=(field_flops if scenario != PRECALCULATED else 0.0),
-        diagnostics=config.diagnostics)
+    specs = build_step_specs(n, layout, precision, scenario, flops,
+                             config.diagnostics)
+    return build_step_graph(specs, n, layout, precision)
 
 
 def _predict_on_device(candidate: Candidate, config, n: int,

@@ -31,7 +31,8 @@ from .scenarios import (
     CPU_PARALLELIZATIONS,
     runtime_config_for,
 )
-from .metrics import nsps_from_records, measure_real_nsps, MeasuredResult
+from ..observability.summary import steady_nsps
+from .metrics import measure_real_nsps, MeasuredResult
 from .harness import (
     ModelResult,
     model_push_nsps,
@@ -60,7 +61,7 @@ __all__ = [
     "BenchmarkCase",
     "CPU_PARALLELIZATIONS",
     "runtime_config_for",
-    "nsps_from_records",
+    "steady_nsps",
     "measure_real_nsps",
     "MeasuredResult",
     "ModelResult",

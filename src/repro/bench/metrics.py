@@ -4,47 +4,26 @@ NSPS (nanoseconds per particle per step) is the paper's figure of
 merit: average iteration time in nanoseconds divided by the particle
 count and the steps per iteration.
 
-Public return types: :func:`nsps_from_records` returns the steady-state
-NSPS as a ``float``; :func:`measure_real_nsps` returns a
+Public return type: :func:`measure_real_nsps` returns a
 :class:`MeasuredResult` (``nsps``, ``n_particles``, ``steps``,
-``total_seconds``).  The warm-up-skipping rule of
-:func:`nsps_from_records` is mirrored byte-for-byte by
-:func:`repro.observability.summary.steady_nsps`, so NSPS recomputed
-from a captured trace agrees exactly with the harness.
+``total_seconds``).  The steady-state NSPS of simulated launch records
+is :func:`repro.observability.summary.steady_nsps`, the one
+warm-up-skipping average shared by the harness and trace summaries.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..core.kernels import boris_push_analytical, boris_push_precalculated
 from ..errors import ConfigurationError
 from ..fields.base import FieldSource
 from ..fields.precalculated import PrecalculatedField
 from ..observability.tracer import trace_span
-from ..oneapi.queue import KernelLaunchRecord
 from ..particles.ensemble import ParticleEnsemble
 
-__all__ = ["nsps_from_records", "MeasuredResult", "measure_real_nsps"]
-
-
-def nsps_from_records(records: Sequence[KernelLaunchRecord],
-                      skip_warmup: int = 2) -> float:
-    """Steady-state NSPS over launch records, skipping warm-up launches.
-
-    The paper measures 10 iterations and notes the first is ~50% slower
-    (JIT + cold memory); its NSPS averages over all of them, where the
-    warm-up is diluted by the 1000 steps per iteration.  Here each
-    record is a single step, so the first launches carry the whole
-    warm-up — skipping them recovers the steady state the paper's
-    averages effectively report.
-    """
-    if not records:
-        raise ConfigurationError("no launch records to average")
-    steady = records[skip_warmup:] if len(records) > skip_warmup else records
-    return sum(r.nsps() for r in steady) / len(steady)
+__all__ = ["MeasuredResult", "measure_real_nsps"]
 
 
 @dataclass

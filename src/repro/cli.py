@@ -198,7 +198,7 @@ def _cmd_escape(args: argparse.Namespace) -> None:
 
 def _cmd_roofline(args: argparse.Namespace) -> None:
     from .oneapi import UsmMemoryManager, analyze_kernel
-    from .oneapi.runtime import build_virtual_push_spec
+    from .oneapi.runtime import build_push_spec
     from .fields import MDipoleWave
 
     rows = []
@@ -207,7 +207,7 @@ def _cmd_roofline(args: argparse.Namespace) -> None:
         for scenario in ("precalculated", "analytical"):
             field_flops = (MDipoleWave.flops_per_evaluation
                            if scenario == "analytical" else 0.0)
-            spec = build_virtual_push_spec(
+            spec = build_push_spec(
                 1_000_000, Layout.SOA, Precision.SINGLE, scenario,
                 UsmMemoryManager(), field_flops=field_flops)
             point = analyze_kernel(spec, device, Precision.SINGLE)
@@ -379,7 +379,7 @@ def _cmd_faults(args: argparse.Namespace) -> None:
     from .api import _coerce_layout, _coerce_precision
     from .bench import paper_time_step, paper_wave
     from .bench.scenarios import paper_ensemble
-    from .bench.metrics import nsps_from_records
+    from .observability import steady_nsps
     from .resilience import (Checkpointer, chaos_self_check,
                              fault_injection, named_plan)
     from .resilience.runner import DEVICE_LADDER, ResilientPushEngine
@@ -417,7 +417,7 @@ def _cmd_faults(args: argparse.Namespace) -> None:
     print(report.summary())
     if len(records) >= 3:
         print(f"  NSPS with recovery cost folded in: "
-              f"{nsps_from_records(records):.2f}")
+              f"{steady_nsps(records):.2f}")
 
 
 def _cmd_push(args: argparse.Namespace) -> None:

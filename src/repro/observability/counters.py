@@ -6,7 +6,7 @@ It keeps both the running totals — flops, DRAM and interconnect bytes,
 modelled vs. real wall seconds, JIT and first-touch warm-up — and the
 full per-launch :class:`LaunchSample` list, so the summary layer can
 recompute steady-state NSPS with exactly the warm-up-skipping rule the
-bench harness uses (:func:`repro.bench.metrics.nsps_from_records`).
+bench harness uses (:func:`repro.observability.summary.steady_nsps`).
 """
 
 from __future__ import annotations

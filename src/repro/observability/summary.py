@@ -1,12 +1,12 @@
-"""The flat per-kernel summary table and steady-state NSPS agreement.
+"""The flat per-kernel summary table and the steady-state NSPS average.
 
 :func:`kernel_summary` reduces a tracer's per-kernel statistics to one
-row per ``(scope, kernel)`` pair; :func:`steady_nsps` applies *exactly*
-the warm-up-skipping average that
-:func:`repro.bench.metrics.nsps_from_records` applies to queue records,
-so the NSPS printed from a trace is bit-identical to the NSPS the bench
-harness reports for the same launches — the invariant the
-``--trace`` CLI flag and the regression-guard test rely on.
+row per ``(scope, kernel)`` pair; :func:`steady_nsps` is the one
+warm-up-skipping average, applied both to the trace's launch samples
+and to the bench harness's queue records, so the NSPS printed from a
+trace is bit-identical to the NSPS the harness reports for the same
+launches — the invariant the ``--trace`` CLI flag and the
+regression-guard test rely on.
 """
 
 from __future__ import annotations
@@ -22,11 +22,18 @@ __all__ = ["steady_nsps", "kernel_summary", "format_kernel_summary"]
 
 def steady_nsps(samples: Sequence[LaunchSample],
                 skip_warmup: int = 2) -> float:
-    """Steady-state modelled NSPS over launch samples.
+    """Steady-state modelled NSPS over launches, skipping the warm-up.
 
-    Mirrors :func:`repro.bench.metrics.nsps_from_records`: drop the
-    first ``skip_warmup`` launches (JIT + cold pages) when more than
-    that many exist, then average per-launch NSPS.
+    ``samples`` are tracer :class:`LaunchSample` objects or queue
+    :class:`~repro.oneapi.queue.KernelLaunchRecord` objects — anything
+    with an ``nsps()`` method.  Drops the first ``skip_warmup``
+    launches when more than that many exist, then averages per-launch
+    NSPS.  The paper measures 10 iterations and notes the first is
+    ~50% slower (JIT + cold memory); its NSPS averages over all of
+    them, where the warm-up is diluted by the 1000 steps per iteration.
+    Here each launch is a single step, so the first launches carry the
+    whole warm-up — skipping them recovers the steady state the
+    paper's averages effectively report.
     """
     if not samples:
         raise ConfigurationError("no launch samples to average")

@@ -6,19 +6,27 @@ precision, and provides :class:`PushEngine`, which drives the *real*
 numpy kernels through a :class:`~repro.oneapi.queue.Queue` so each
 step produces both physics and a simulated launch time.
 
-Two spec flavours:
+Every kernel's particle streams come from one declaration,
+:func:`particle_streams`, and every spec builder takes the particle
+count, layout and precision plus what to attach to the streams:
 
-* *bound* specs (:func:`build_push_spec`) reference the live USM
-  allocations of an actual ensemble, enabling genuine first-touch NUMA
-  accounting while the kernels run;
-* *virtual* specs (:func:`build_virtual_push_spec`) describe the
-  paper's full 1e7-particle working set without allocating it — used
-  by the table/figure harnesses where only timing matters.
+* a live ``ensemble`` (with ``memory``) registers its arrays, enabling
+  genuine first-touch NUMA accounting while the kernels run;
+* ``memory`` alone gives virtual allocations — the paper's full
+  1e7-particle working set with page state but no arrays, as the
+  table/figure harnesses use;
+* neither gives a pure traffic/flop description, enough for the
+  planning estimators and the autotuner.
+
+:func:`build_step_specs` and :func:`build_step_graph` describe one
+graph-mode push step; :meth:`PushEngine.record_graph` and the autotuner
+both build their graphs with them, so the tuner prices the graph the
+engine launches.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,10 +46,9 @@ from .kernelspec import KernelSpec, MemoryStream, StreamKind
 from .memory import UsmMemoryManager
 from .queue import KernelLaunchRecord, Queue
 
-__all__ = ["PUSH_FLOPS", "build_push_spec", "build_virtual_push_spec",
+__all__ = ["PUSH_FLOPS", "particle_streams", "build_push_spec",
            "build_field_eval_spec", "build_diagnostics_spec",
-           "build_virtual_field_eval_spec", "build_virtual_diagnostics_spec",
-           "build_virtual_step_graph", "PushEngine"]
+           "build_step_specs", "build_step_graph", "PushEngine"]
 
 #: Arithmetic of the Boris push per particle-step (single-precision
 #: equivalent flops): momentum update + two gamma evaluations +
@@ -53,8 +60,16 @@ PRECALCULATED = "precalculated"
 ANALYTICAL = "analytical"
 SCENARIOS = (PRECALCULATED, ANALYTICAL)
 
-#: Components the push kernel reads and writes in SoA layout.
-_SOA_READ_WRITE = ("x", "y", "z", "px", "py", "pz")
+_R, _W, _RW = StreamKind.READ, StreamKind.WRITE, StreamKind.READ_WRITE
+
+#: Particle accesses of each push-step kernel, in stream order.
+_FIELD_EVAL_ACCESS = (("x", _R), ("y", _R), ("z", _R))
+_PUSH_ACCESS = (("x", _RW), ("y", _RW), ("z", _RW), ("px", _RW),
+                ("py", _RW), ("pz", _RW), ("gamma", _W), ("type", _R))
+_DIAGNOSTICS_ACCESS = (("gamma", _R),)
+
+#: Node tags of a graph-mode push step, in recording order.
+_STEP_TAGS = ("field-eval", "push", "diagnostics")
 
 
 def _check_scenario(scenario: str) -> None:
@@ -63,110 +78,112 @@ def _check_scenario(scenario: str) -> None:
             f"scenario must be one of {SCENARIOS}, got {scenario!r}")
 
 
-def _particle_streams(layout: Layout, precision: Precision,
-                      n: int, memory: Optional[UsmMemoryManager],
-                      ensemble: Optional[ParticleEnsemble]):
-    """Memory streams for the particle data in the given layout."""
-    fp = precision.itemsize
-    streams = []
-    if layout is Layout.AOS:
-        if ensemble is not None and memory is not None:
-            allocation = memory.register(ensemble.records,  # type: ignore[attr-defined]
-                                         name="particles-aos")
-        elif memory is not None:
-            allocation = memory.virtual(
-                n * precision.particle_bytes_aligned, name="particles-aos")
-        else:
+def particle_streams(layout: Layout, precision: Precision, n: int,
+                     access: Sequence[Tuple[str, StreamKind]],
+                     memory: Optional[UsmMemoryManager] = None,
+                     ensemble: Optional[ParticleEnsemble] = None,
+                     suffix: str = "") -> List[MemoryStream]:
+    """Memory streams of a kernel's particle accesses.
+
+    ``access`` lists ``(component, kind)`` pairs in stream order.  In
+    AoS every access touches the one strided record stream, declared
+    with the strongest requested kind; in SoA each component is its own
+    contiguous stream.  With an ``ensemble`` (and ``memory``) each
+    stream registers the live array; with ``memory`` alone it walks a
+    virtual allocation of ``n`` items; with neither it has no
+    allocation.  ``suffix`` keeps multi-species stream names distinct.
+    """
+    if ensemble is not None and (ensemble.layout, ensemble.precision,
+                                 ensemble.size) != (layout, precision, n):
+        raise ConfigurationError(
+            "ensemble must match the spec's layout, precision and size")
+
+    def stream(name, kind, nbytes, span, contiguous, array):
+        if memory is None:
             allocation = None
-        streams.append(MemoryStream(
-            name="particles-aos", kind=StreamKind.READ_WRITE,
-            bytes_per_item=precision.particle_bytes,
-            span_bytes_per_item=precision.particle_bytes_aligned,
-            contiguous=False, allocation=allocation))
-        return streams
+        elif ensemble is not None:
+            allocation = memory.register(array(), name=name)
+        else:
+            allocation = memory.virtual(n * span, name=name)
+        return MemoryStream(name=name, kind=kind, bytes_per_item=nbytes,
+                            span_bytes_per_item=span, contiguous=contiguous,
+                            allocation=allocation)
 
-    def alloc(name, component, nbytes):
-        if ensemble is not None and memory is not None:
-            return memory.register(ensemble.component(component)
-                                   if component != "type"
-                                   else ensemble.type_ids, name=name)
-        if memory is not None:
-            return memory.virtual(nbytes, name=name)
-        return None
-
-    for component in _SOA_READ_WRITE:
-        streams.append(MemoryStream(
-            name=f"soa-{component}", kind=StreamKind.READ_WRITE,
-            bytes_per_item=fp, contiguous=True,
-            allocation=alloc(f"soa-{component}", component, n * fp)))
-    streams.append(MemoryStream(
-        name="soa-gamma", kind=StreamKind.WRITE, bytes_per_item=fp,
-        contiguous=True,
-        allocation=alloc("soa-gamma", "gamma", n * fp)))
-    streams.append(MemoryStream(
-        name="soa-type", kind=StreamKind.READ, bytes_per_item=2,
-        contiguous=True, allocation=alloc("soa-type", "type", n * 2)))
+    if layout is Layout.AOS:
+        kinds = {kind for _, kind in access}
+        kind = kinds.pop() if len(kinds) == 1 else _RW
+        return [stream(f"particles-aos{suffix}", kind,
+                       precision.particle_bytes,
+                       precision.particle_bytes_aligned, False,
+                       lambda: ensemble.records)]  # type: ignore[attr-defined]
+    streams = []
+    for component, kind in access:
+        nbytes = 2 if component == "type" else precision.itemsize
+        streams.append(stream(
+            f"soa-{component}{suffix}", kind, nbytes, nbytes, True,
+            lambda c=component: (ensemble.type_ids if c == "type"
+                                 else ensemble.component(c))))
     return streams
 
 
 def _field_streams(layout: Layout, precision: Precision, n: int,
-                   memory: Optional[UsmMemoryManager],
+                   kind: StreamKind, memory: Optional[UsmMemoryManager],
+                   ensemble: Optional[ParticleEnsemble],
                    precalc: Optional[PrecalculatedField]):
-    """Memory streams for the precalculated field arrays."""
+    """Memory streams for the per-particle (precalculated) field arrays.
+
+    Registered from ``precalc`` on a bound spec (``ensemble`` given),
+    virtual with ``memory`` alone, allocation-free otherwise.
+    """
+    bound = memory is not None and ensemble is not None
+    if bound and precalc is None:
+        raise ConfigurationError(
+            "precalculated scenario needs the precalc field array")
+    if precalc is not None and (precalc.layout is not layout
+                                or precalc.size != n):
+        raise ConfigurationError(
+            "precalc array must match the ensemble's layout and size")
     fp = precision.itemsize
-    if layout is Layout.AOS:
-        if precalc is not None and memory is not None:
-            # The AoS PrecalculatedField stores one structured array.
-            allocation = memory.register(precalc.component("ex"),
-                                         name="fields-aos")
-        elif memory is not None:
-            allocation = memory.virtual(n * 6 * fp, name="fields-aos")
-        else:
-            allocation = None
-        return [MemoryStream(
-            name="fields-aos", kind=StreamKind.READ,
-            bytes_per_item=6 * fp, span_bytes_per_item=6 * fp,
-            contiguous=False, allocation=allocation)]
+    # The AoS PrecalculatedField stores one structured array.
+    components = ("ex",) if layout is Layout.AOS else \
+        ("ex", "ey", "ez", "bx", "by", "bz")
+    nbytes = 6 * fp if layout is Layout.AOS else fp
     streams = []
-    for component in ("ex", "ey", "ez", "bx", "by", "bz"):
-        if precalc is not None and memory is not None:
+    for component in components:
+        name = "fields-aos" if layout is Layout.AOS else f"fields-{component}"
+        if bound:
             allocation = memory.register(precalc.component(component),
-                                         name=f"fields-{component}")
+                                         name=name)
         elif memory is not None:
-            allocation = memory.virtual(n * fp, name=f"fields-{component}")
+            allocation = memory.virtual(n * nbytes, name=name)
         else:
             allocation = None
         streams.append(MemoryStream(
-            name=f"fields-{component}", kind=StreamKind.READ,
-            bytes_per_item=fp, contiguous=True, allocation=allocation))
+            name=name, kind=kind, bytes_per_item=nbytes,
+            contiguous=layout is not Layout.AOS, allocation=allocation))
     return streams
 
 
-def build_push_spec(ensemble: ParticleEnsemble, scenario: str,
-                    memory: UsmMemoryManager,
+def build_push_spec(n: int, layout: Layout, precision: Precision,
+                    scenario: str,
+                    memory: Optional[UsmMemoryManager] = None, *,
+                    ensemble: Optional[ParticleEnsemble] = None,
                     precalc: Optional[PrecalculatedField] = None,
                     field_flops: float = 0.0) -> KernelSpec:
-    """Kernel spec for the Boris push bound to a live ensemble.
+    """Kernel spec of the Boris push over ``n`` particles.
 
-    For the precalculated scenario pass the matching ``precalc`` array;
-    for the analytical scenario pass the source's
-    ``flops_per_evaluation`` as ``field_flops``.
+    The precalculated scenario adds the six field-read streams (a bound
+    spec needs the matching ``precalc`` array); the analytical scenario
+    adds the source's ``flops_per_evaluation``, passed as
+    ``field_flops``, to the arithmetic.
     """
     _check_scenario(scenario)
-    layout = ensemble.layout
-    precision = ensemble.precision
-    streams = _particle_streams(layout, precision, ensemble.size,
-                                memory, ensemble)
+    streams = particle_streams(layout, precision, n, _PUSH_ACCESS,
+                               memory, ensemble)
     flops = float(PUSH_FLOPS)
     if scenario == PRECALCULATED:
-        if precalc is None:
-            raise ConfigurationError(
-                "precalculated scenario needs the precalc field array")
-        if precalc.layout is not layout or precalc.size != ensemble.size:
-            raise ConfigurationError(
-                "precalc array must match the ensemble's layout and size")
-        streams += _field_streams(layout, precision, ensemble.size,
-                                  memory, precalc)
+        streams += _field_streams(layout, precision, n, _R, memory,
+                                  ensemble, precalc)
     else:
         flops += float(field_flops)
     name = f"boris-{scenario}-{layout.value}-{precision.value}"
@@ -174,213 +191,112 @@ def build_push_spec(ensemble: ParticleEnsemble, scenario: str,
                       flops_per_item=flops)
 
 
-def build_virtual_push_spec(n: int, layout: Layout, precision: Precision,
-                            scenario: str,
-                            memory: Optional[UsmMemoryManager],
-                            field_flops: float = 0.0) -> KernelSpec:
-    """Kernel spec over *virtual* allocations of ``n`` particles.
+def build_field_eval_spec(n: int, layout: Layout, precision: Precision,
+                          scenario: str,
+                          memory: Optional[UsmMemoryManager] = None, *,
+                          ensemble: Optional[ParticleEnsemble] = None,
+                          precalc: Optional[PrecalculatedField] = None,
+                          field_flops: float = 0.0) -> KernelSpec:
+    """Kernel spec of the field-evaluation graph node.
 
-    Used to model the paper's 1e7-particle runs without allocating the
-    arrays; first-touch NUMA accounting still works because virtual
-    allocations carry page state.  ``memory=None`` drops even the
-    virtual allocations (no page state): a pure traffic/flop
-    description, enough for the planning estimators and the autotuner.
+    Reads the particle positions, writes the six per-particle field
+    components.  ``field_flops`` is the per-particle evaluation cost
+    (the source's ``flops_per_evaluation`` in the analytical scenario;
+    0 for the precalculated scenario, where the values are given and
+    the node is pure staging traffic).
+
+    The position streams are declared exactly as the push node declares
+    them (same names, sizes, access shape — in AoS the full record span,
+    since reading three members pulls the whole record anyway) so the
+    fusion pass can merge the two nodes; the field streams are declared
+    ``WRITE`` here and ``READ`` by the push — the pair fusion elides.
     """
     _check_scenario(scenario)
-    streams = _particle_streams(layout, precision, n, memory, None)
-    flops = float(PUSH_FLOPS)
-    if scenario == PRECALCULATED:
-        streams += _field_streams(layout, precision, n, memory, None)
-    else:
-        flops += float(field_flops)
-    name = f"boris-{scenario}-{layout.value}-{precision.value}"
-    return KernelSpec(name=name, streams=tuple(streams),
-                      flops_per_item=flops)
-
-
-def _field_stream_names(layout: Layout) -> tuple:
-    """Names of the per-particle field streams in the given layout."""
-    if layout is Layout.AOS:
-        return ("fields-aos",)
-    return tuple(f"fields-{c}" for c in ("ex", "ey", "ez", "bx", "by", "bz"))
-
-
-def build_virtual_field_eval_spec(n: int, layout: Layout,
-                                  precision: Precision,
-                                  scenario: str,
-                                  field_flops: float = 0.0) -> KernelSpec:
-    """Allocation-free twin of :func:`build_field_eval_spec`.
-
-    Same stream names, kinds, sizes and flops as the bound spec the
-    graph path launches — so a fusion pass planning over it makes the
-    same decisions — but without an ensemble or memory manager.
-    """
-    _check_scenario(scenario)
-    fp = precision.itemsize
-    streams: List[MemoryStream] = []
-    if layout is Layout.AOS:
-        streams.append(MemoryStream(
-            name="particles-aos", kind=StreamKind.READ,
-            bytes_per_item=precision.particle_bytes,
-            span_bytes_per_item=precision.particle_bytes_aligned,
-            contiguous=False))
-    else:
-        for component in ("x", "y", "z"):
-            streams.append(MemoryStream(
-                name=f"soa-{component}", kind=StreamKind.READ,
-                bytes_per_item=fp, contiguous=True))
-    for stream in _field_streams(layout, precision, n, None, None):
-        streams.append(MemoryStream(
-            name=stream.name, kind=StreamKind.WRITE,
-            bytes_per_item=stream.bytes_per_item,
-            span_bytes_per_item=stream.span_bytes_per_item,
-            contiguous=stream.contiguous))
+    streams = particle_streams(layout, precision, n, _FIELD_EVAL_ACCESS,
+                               memory, ensemble)
+    streams += _field_streams(layout, precision, n, _W, memory, ensemble,
+                              precalc)
     name = f"field-eval-{scenario}-{layout.value}-{precision.value}"
     return KernelSpec(name=name, streams=tuple(streams),
                       flops_per_item=(float(FIELD_STAGE_FLOPS)
                                       + float(field_flops)))
 
 
-def build_virtual_diagnostics_spec(layout: Layout,
-                                   precision: Precision) -> KernelSpec:
-    """Allocation-free twin of :func:`build_diagnostics_spec`."""
-    fp = precision.itemsize
-    if layout is Layout.AOS:
-        gamma = MemoryStream(
-            name="particles-aos", kind=StreamKind.READ,
-            bytes_per_item=precision.particle_bytes,
-            span_bytes_per_item=precision.particle_bytes_aligned,
-            contiguous=False)
-    else:
-        gamma = MemoryStream(name="soa-gamma", kind=StreamKind.READ,
-                             bytes_per_item=fp, contiguous=True)
-    energy = MemoryStream(name="diag-energy", kind=StreamKind.WRITE,
-                          bytes_per_item=fp, contiguous=True)
-    return KernelSpec(name=f"diag-energy-{layout.value}-{precision.value}",
-                      streams=(gamma, energy),
-                      flops_per_item=float(DIAGNOSTIC_FLOPS))
-
-
-def build_virtual_step_graph(n: int, layout: Layout, precision: Precision,
-                             scenario: str, field_flops: float = 0.0,
-                             diagnostics: bool = False) -> KernelGraph:
-    """Timing-only :class:`KernelGraph` of one graph-mode push step.
-
-    Mirrors :meth:`PushEngine.record_graph` without constructing an
-    engine: the same node order (field-eval, push, optional
-    diagnostics), the same stream declarations and the same transient
-    flags, but with no bodies and no allocations.  The autotuner plans
-    fusion over this graph and prices its groups exactly as the
-    executor would launch them.
-
-    ``field_flops`` is the analytical source's per-particle evaluation
-    cost (``flops_per_evaluation``); pass 0 for the precalculated
-    scenario, as the engine does.
-    """
-    _check_scenario(scenario)
-    graph = KernelGraph()
-    graph.add(KernelNode(
-        spec=build_virtual_field_eval_spec(n, layout, precision, scenario,
-                                           field_flops=field_flops),
-        n_items=n, layout=layout.value, precision=precision,
-        transient=frozenset(_field_stream_names(layout)),
-        tag="field-eval"))
-    graph.add(KernelNode(
-        spec=build_virtual_push_spec(n, layout, precision, PRECALCULATED,
-                                     None),
-        n_items=n, layout=layout.value, precision=precision, tag="push"))
-    if diagnostics:
-        graph.add(KernelNode(
-            spec=build_virtual_diagnostics_spec(layout, precision),
-            n_items=n, layout=layout.value, precision=precision,
-            tag="diagnostics"))
-    return graph
-
-
-def build_field_eval_spec(ensemble: ParticleEnsemble,
-                          precalc: PrecalculatedField,
-                          memory: UsmMemoryManager,
-                          field_flops: float = 0.0,
-                          scenario: str = PRECALCULATED) -> KernelSpec:
-    """Kernel spec of the field-evaluation graph node.
-
-    Reads the particle positions, writes the six per-particle field
-    components of ``precalc``.  ``field_flops`` is the per-particle
-    evaluation cost (the source's ``flops_per_evaluation`` in the
-    analytical scenario; ~0 for the precalculated scenario, where the
-    values are given and the node is pure staging traffic).
-
-    The position streams are declared exactly as the push node declares
-    them (same names, sizes, access shape) so the fusion pass can merge
-    the two nodes; the field streams are declared ``WRITE`` here and
-    ``READ`` by the push — the pair fusion elides.
-    """
-    layout = ensemble.layout
-    precision = ensemble.precision
-    fp = precision.itemsize
-    streams: List[MemoryStream] = []
-    if layout is Layout.AOS:
-        # The record stream is declared with the full particle span,
-        # like the push node: reading three position members pulls the
-        # whole cache-line-spanning record anyway, and identical
-        # declarations are what makes the streams mergeable.
-        allocation = memory.register(ensemble.records,  # type: ignore[attr-defined]
-                                     name="particles-aos")
-        streams.append(MemoryStream(
-            name="particles-aos", kind=StreamKind.READ,
-            bytes_per_item=precision.particle_bytes,
-            span_bytes_per_item=precision.particle_bytes_aligned,
-            contiguous=False, allocation=allocation))
-    else:
-        for component in ("x", "y", "z"):
-            streams.append(MemoryStream(
-                name=f"soa-{component}", kind=StreamKind.READ,
-                bytes_per_item=fp, contiguous=True,
-                allocation=memory.register(ensemble.component(component),
-                                           name=f"soa-{component}")))
-    for stream in _field_streams(layout, precision, ensemble.size,
-                                 memory, precalc):
-        streams.append(MemoryStream(
-            name=stream.name, kind=StreamKind.WRITE,
-            bytes_per_item=stream.bytes_per_item,
-            span_bytes_per_item=stream.span_bytes_per_item,
-            contiguous=stream.contiguous, allocation=stream.allocation))
-    _check_scenario(scenario)
-    name = f"field-eval-{scenario}-{layout.value}-{precision.value}"
-    return KernelSpec(name=name, streams=tuple(streams),
-                      flops_per_item=float(FIELD_STAGE_FLOPS) + float(field_flops))
-
-
-def build_diagnostics_spec(ensemble: ParticleEnsemble,
-                           memory: UsmMemoryManager,
-                           out: np.ndarray) -> KernelSpec:
+def build_diagnostics_spec(n: int, layout: Layout, precision: Precision,
+                           memory: Optional[UsmMemoryManager] = None, *,
+                           ensemble: Optional[ParticleEnsemble] = None,
+                           energy: Optional[np.ndarray] = None) -> KernelSpec:
     """Kernel spec of the kinetic-energy diagnostics graph node.
 
     Reads the gamma component the push stored, writes the per-particle
-    energy array ``out`` — elementwise, so it fuses onto the push.
+    energy array (``energy`` on a bound spec) — elementwise, so it fuses
+    onto the push.
     """
-    precision = ensemble.precision
     fp = precision.itemsize
-    if ensemble.layout is Layout.AOS:
-        gamma = MemoryStream(
-            name="particles-aos", kind=StreamKind.READ,
-            bytes_per_item=precision.particle_bytes,
-            span_bytes_per_item=precision.particle_bytes_aligned,
-            contiguous=False,
-            allocation=memory.register(ensemble.records,  # type: ignore[attr-defined]
-                                       name="particles-aos"))
+    streams = particle_streams(layout, precision, n, _DIAGNOSTICS_ACCESS,
+                               memory, ensemble)
+    if memory is None:
+        allocation = None
+    elif ensemble is not None:
+        allocation = memory.register(energy, name="diag-energy")
     else:
-        gamma = MemoryStream(
-            name="soa-gamma", kind=StreamKind.READ, bytes_per_item=fp,
-            contiguous=True,
-            allocation=memory.register(ensemble.component("gamma"),
-                                       name="soa-gamma"))
-    energy = MemoryStream(
-        name="diag-energy", kind=StreamKind.WRITE, bytes_per_item=fp,
-        contiguous=True, allocation=memory.register(out, name="diag-energy"))
-    name = f"diag-energy-{ensemble.layout.value}-{precision.value}"
-    return KernelSpec(name=name, streams=(gamma, energy),
+        allocation = memory.virtual(n * fp, name="diag-energy")
+    streams.append(MemoryStream(
+        name="diag-energy", kind=_W, bytes_per_item=fp, contiguous=True,
+        allocation=allocation))
+    return KernelSpec(name=f"diag-energy-{layout.value}-{precision.value}",
+                      streams=tuple(streams),
                       flops_per_item=float(DIAGNOSTIC_FLOPS))
+
+
+def build_step_specs(n: int, layout: Layout, precision: Precision,
+                     scenario: str, field_flops: float = 0.0,
+                     diagnostics: bool = False,
+                     memory: Optional[UsmMemoryManager] = None, *,
+                     ensemble: Optional[ParticleEnsemble] = None,
+                     precalc: Optional[PrecalculatedField] = None,
+                     energy: Optional[np.ndarray] = None
+                     ) -> Tuple[KernelSpec, ...]:
+    """The specs of one graph-mode push step, in recording order.
+
+    Field-eval, push and (with ``diagnostics``) kinetic energy; built in
+    this order so a bound step registers its allocations in it.  Both
+    scenarios stage fields through the per-particle array, so the push
+    is always the precalculated one; the scenarios differ only in the
+    eval node's arithmetic (``field_flops``: the analytical source's
+    ``flops_per_evaluation``, 0 for the precalculated scenario).
+    """
+    specs = [build_field_eval_spec(n, layout, precision, scenario, memory,
+                                   ensemble=ensemble, precalc=precalc,
+                                   field_flops=field_flops),
+             build_push_spec(n, layout, precision, PRECALCULATED, memory,
+                             ensemble=ensemble, precalc=precalc)]
+    if diagnostics:
+        specs.append(build_diagnostics_spec(n, layout, precision, memory,
+                                            ensemble=ensemble,
+                                            energy=energy))
+    return tuple(specs)
+
+
+def build_step_graph(specs: Sequence[KernelSpec], n: int, layout: Layout,
+                     precision: Precision,
+                     bodies: Sequence = (None, None, None)) -> KernelGraph:
+    """The :class:`KernelGraph` of one graph-mode push step.
+
+    ``specs`` comes from :func:`build_step_specs`; ``bodies`` are the
+    nodes' kernels in the same order (None for a timing-only graph).
+    The field-eval node's written field streams are transient, so a
+    fused group carries them in registers.
+    """
+    graph = KernelGraph()
+    for tag, spec, body in zip(_STEP_TAGS, specs, bodies):
+        transient = frozenset(
+            stream.name for stream in spec.streams
+            if stream.kind is _W) if tag == "field-eval" else frozenset()
+        graph.add(KernelNode(spec=spec, n_items=n, body=body,
+                             layout=layout.value, precision=precision,
+                             transient=transient, tag=tag))
+    return graph
 
 
 class PushEngine:
@@ -435,36 +351,28 @@ class PushEngine:
         self.step_seconds: List[float] = []
         self.executor: Optional[GraphExecutor] = None
         self.diag_energy: Optional[np.ndarray] = None
-        if fusion is None:
-            if scenario == PRECALCULATED:
-                self.precalc: Optional[PrecalculatedField] = \
-                    PrecalculatedField(ensemble.size, ensemble.precision,
-                                       ensemble.layout)
-                self.spec = build_push_spec(ensemble, scenario, queue.memory,
-                                            precalc=self.precalc)
-            else:
-                self.precalc = None
-                self.spec = build_push_spec(
-                    ensemble, scenario, queue.memory,
-                    field_flops=source.flops_per_evaluation)
-            return
-        # Graph path: both scenarios stage fields through the
-        # per-particle array; the scenarios differ only in the eval
-        # node's arithmetic (staging vs m-dipole formulas).
-        self.precalc = PrecalculatedField(ensemble.size, ensemble.precision,
-                                          ensemble.layout)
+        shape = (ensemble.size, ensemble.layout, ensemble.precision)
         field_flops = (source.flops_per_evaluation
                        if scenario == ANALYTICAL else 0.0)
-        self._field_spec = build_field_eval_spec(
-            ensemble, self.precalc, queue.memory, field_flops=field_flops,
-            scenario=scenario)
-        self.spec = build_push_spec(ensemble, PRECALCULATED, queue.memory,
-                                    precalc=self.precalc)
+        # The graph path stages fields through the per-particle array in
+        # both scenarios (they differ only in the eval node's
+        # arithmetic); the legacy path only in the precalculated one.
+        self.precalc: Optional[PrecalculatedField] = PrecalculatedField(
+            ensemble.size, ensemble.precision, ensemble.layout) \
+            if fusion is not None or scenario == PRECALCULATED else None
+        if fusion is None:
+            self.spec = build_push_spec(*shape, scenario, queue.memory,
+                                        ensemble=ensemble,
+                                        precalc=self.precalc,
+                                        field_flops=field_flops)
+            return
         if self.diagnostics:
             self.diag_energy = np.zeros(ensemble.size,
                                         dtype=ensemble.precision.dtype)
-            self._diag_spec = build_diagnostics_spec(
-                ensemble, queue.memory, self.diag_energy)
+        self._specs = build_step_specs(
+            *shape, scenario, field_flops, self.diagnostics, queue.memory,
+            ensemble=ensemble, precalc=self.precalc, energy=self.diag_energy)
+        self.spec = self._specs[1]
         self.executor = GraphExecutor(queue, fusion=bool(fusion))
 
     # -- graph recording ---------------------------------------------------
@@ -472,29 +380,15 @@ class PushEngine:
     def record_graph(self) -> KernelGraph:
         """Record this step's kernel graph (graph path only)."""
         ensemble = self.ensemble
-        layout = ensemble.layout.value
-        precision = ensemble.precision
         time_now = self.time
-        graph = KernelGraph()
-        graph.add(KernelNode(
-            spec=self._field_spec, n_items=ensemble.size,
-            body=lambda: sample_fields(self.precalc, self.source,
-                                       ensemble, time_now),
-            layout=layout, precision=precision,
-            transient=frozenset(_field_stream_names(ensemble.layout)),
-            tag="field-eval"))
-        graph.add(KernelNode(
-            spec=self.spec, n_items=ensemble.size,
-            body=lambda: boris_push_precalculated(ensemble, self.precalc,
-                                                  self.dt),
-            layout=layout, precision=precision, tag="push"))
-        if self.diagnostics:
-            graph.add(KernelNode(
-                spec=self._diag_spec, n_items=ensemble.size,
-                body=lambda: kinetic_energy_diagnostic(ensemble,
-                                                       self.diag_energy),
-                layout=layout, precision=precision, tag="diagnostics"))
-        return graph
+        bodies = (
+            lambda: sample_fields(self.precalc, self.source, ensemble,
+                                  time_now),
+            lambda: boris_push_precalculated(ensemble, self.precalc,
+                                             self.dt),
+            lambda: kinetic_energy_diagnostic(ensemble, self.diag_energy))
+        return build_step_graph(self._specs, ensemble.size, ensemble.layout,
+                                ensemble.precision, bodies)
 
     def step(self, depends_on=None) -> KernelLaunchRecord:
         """One timed push step (plus the untimed field refresh if any).

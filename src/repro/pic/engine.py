@@ -36,8 +36,8 @@ from ..observability.tracer import trace_span
 from ..oneapi.graph import GraphExecutor, KernelGraph, KernelNode
 from ..oneapi.kernelspec import KernelSpec, MemoryStream, StreamKind
 from ..oneapi.queue import Queue
-from ..oneapi.runtime import PUSH_FLOPS
-from ..particles.ensemble import COMPONENTS, Layout, ParticleEnsemble
+from ..oneapi.runtime import PUSH_FLOPS, particle_streams
+from ..particles.ensemble import COMPONENTS, ParticleEnsemble
 from ..resilience.faults import active_fault_injector
 from .deposition import deposit_current_direct, deposit_current_esirkepov
 from .simulation import PicSimulation
@@ -56,6 +56,20 @@ GATHER_FLOPS = 5.0
 DEPOSIT_FLOPS = 14.0
 #: Arithmetic per grid cell of one FDTD leapfrog step.
 ADVANCE_FLOPS = {"fdtd": 36.0, "spectral": 220.0}
+
+_R, _W, _RW = StreamKind.READ, StreamKind.WRITE, StreamKind.READ_WRITE
+
+
+def _access(kind: StreamKind, *components: str) -> tuple:
+    return tuple((component, kind) for component in components)
+
+
+#: Particle accesses of each stage, in stream order.
+_GATHER_ACCESS = _access(_R, "x", "y", "z")
+_PUSH_ACCESS = (_access(_RW, "x", "y", "z", "px", "py", "pz")
+                + (("type", _R), ("gamma", _W)))
+_DEPOSIT_ACCESS = (_access(_RW, "x", "y", "z")
+                   + _access(_R, "px", "py", "pz", "gamma", "weight", "type"))
 
 #: The six per-particle gathered field components.
 _FIELD_COMPONENTS = ("ex", "ey", "ez", "bx", "by", "bz")
@@ -90,32 +104,6 @@ def _suffix(species: int, count: int) -> str:
     return "" if count == 1 else f"@{species}"
 
 
-def _aos_stream(ensemble: ParticleEnsemble, memory, kind: StreamKind,
-                suffix: str) -> MemoryStream:
-    precision = ensemble.precision
-    name = f"particles-aos{suffix}"
-    allocation = memory.register(ensemble.records, name=name) \
-        if memory is not None else None
-    return MemoryStream(
-        name=name, kind=kind, bytes_per_item=precision.particle_bytes,
-        span_bytes_per_item=precision.particle_bytes_aligned,
-        contiguous=False, allocation=allocation)
-
-
-def _soa_stream(ensemble: ParticleEnsemble, memory, component: str,
-                kind: StreamKind, suffix: str) -> MemoryStream:
-    name = f"soa-{component}{suffix}"
-    if component == "type":
-        array, nbytes = ensemble.type_ids, 2
-    else:
-        array, nbytes = ensemble.component(component), \
-            ensemble.precision.itemsize
-    allocation = memory.register(array, name=name) \
-        if memory is not None else None
-    return MemoryStream(name=name, kind=kind, bytes_per_item=nbytes,
-                        contiguous=True, allocation=allocation)
-
-
 def _gathered_field_streams(ensemble: ParticleEnsemble, memory,
                             kind: StreamKind, suffix: str,
                             components=_FIELD_COMPONENTS) -> List[MemoryStream]:
@@ -146,35 +134,6 @@ def _grid_streams(grid, memory, names, kind: StreamKind,
     return streams
 
 
-def _particle_streams(ensemble: ParticleEnsemble, memory, suffix: str,
-                      read_write, read=(), write=()) -> List[MemoryStream]:
-    """Particle streams in the ensemble's layout.
-
-    In AoS every access touches the one record stream (strided); the
-    strongest requested kind wins.  In SoA each component is its own
-    contiguous stream with its own kind.
-    """
-    if ensemble.layout is Layout.AOS:
-        if read_write or (read and write):
-            kind = StreamKind.READ_WRITE
-        elif write:
-            kind = StreamKind.WRITE
-        else:
-            kind = StreamKind.READ
-        return [_aos_stream(ensemble, memory, kind, suffix)]
-    streams = []
-    for component in read_write:
-        streams.append(_soa_stream(ensemble, memory, component,
-                                   StreamKind.READ_WRITE, suffix))
-    for component in read:
-        streams.append(_soa_stream(ensemble, memory, component,
-                                   StreamKind.READ, suffix))
-    for component in write:
-        streams.append(_soa_stream(ensemble, memory, component,
-                                   StreamKind.WRITE, suffix))
-    return streams
-
-
 # -- spec builders ---------------------------------------------------------
 
 
@@ -182,8 +141,9 @@ def build_gather_spec(ensemble: ParticleEnsemble, shape, memory,
                       suffix: str = "") -> KernelSpec:
     """Gather stage: read positions, write the six per-particle fields."""
     support = shape.support
-    streams = _particle_streams(ensemble, memory, suffix, (),
-                                read=("x", "y", "z"))
+    streams = particle_streams(ensemble.layout, ensemble.precision,
+                               ensemble.size, _GATHER_ACCESS, memory,
+                               ensemble, suffix)
     streams += _gathered_field_streams(ensemble, memory, StreamKind.WRITE,
                                        suffix)
     flops = 6.0 * support ** 3 * GATHER_FLOPS + 15.0
@@ -196,10 +156,9 @@ def build_gather_spec(ensemble: ParticleEnsemble, shape, memory,
 def build_push_spec(ensemble: ParticleEnsemble, memory,
                     suffix: str = "") -> KernelSpec:
     """Push stage: Boris rotation over the gathered per-particle fields."""
-    streams = _particle_streams(
-        ensemble, memory, suffix,
-        ("x", "y", "z", "px", "py", "pz"),
-        read=("type",), write=("gamma",))
+    streams = particle_streams(ensemble.layout, ensemble.precision,
+                               ensemble.size, _PUSH_ACCESS, memory,
+                               ensemble, suffix)
     streams += _gathered_field_streams(ensemble, memory, StreamKind.READ,
                                        suffix)
     name = (f"pic-push-{ensemble.layout.value}"
@@ -214,8 +173,9 @@ def build_operator_spec(ensemble: ParticleEnsemble, operator, memory,
     read_write = ["px", "py", "pz"]
     if operator.mutates_weight:
         read_write.append("weight")
-    streams = _particle_streams(ensemble, memory, suffix,
-                                tuple(read_write))
+    streams = particle_streams(ensemble.layout, ensemble.precision,
+                               ensemble.size, _access(_RW, *read_write),
+                               memory, ensemble, suffix)
     if operator.reads_fields:
         streams += _gathered_field_streams(
             ensemble, memory, StreamKind.READ, suffix,
@@ -235,9 +195,9 @@ def build_deposit_spec(ensemble: ParticleEnsemble, deposition: str,
         _, width = _window_parameters(shape)
     else:
         width = shape.support
-    streams = _particle_streams(
-        ensemble, memory, suffix, ("x", "y", "z"),
-        read=("px", "py", "pz", "gamma", "weight", "type"))
+    streams = particle_streams(ensemble.layout, ensemble.precision,
+                               ensemble.size, _DEPOSIT_ACCESS, memory,
+                               ensemble, suffix)
     streams += _grid_streams(grid, memory, ("jx", "jy", "jz"),
                              StreamKind.READ_WRITE,
                              bytes_per_item=width ** 3 * 8.0,

@@ -217,7 +217,7 @@ def allocate_with_retry(build: Callable[[], object], queue,
                         stats: Optional[RecoveryStats] = None):
     """Run an allocating ``build`` callable, retrying USM exhaustion.
 
-    Spec construction (:func:`repro.oneapi.runtime.build_virtual_push_spec`)
+    Spec construction (:func:`repro.oneapi.runtime.build_push_spec`)
     registers USM allocations *before* any launch exists, so an injected
     ``alloc-failure`` there cannot be caught by :func:`run_with_retry`
     — it has no spec to scrub and no launch record to charge.  This

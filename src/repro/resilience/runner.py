@@ -128,6 +128,10 @@ class ResilientPushEngine:
         self.devices_lost: List[str] = []
         self.restores = 0
         self.replayed_steps = 0
+        #: Simulated seconds of each completed step (whole steps, with
+        #: the recovery cost of retried attempts folded in); a restore
+        #: drops the entries of the steps it replays.
+        self.step_seconds: List[float] = []
         self._build(self.devices[0])
 
     # -- queue / runner construction --------------------------------------
@@ -215,6 +219,9 @@ class ResilientPushEngine:
                 self._on_device_lost()
                 continue
             self.step_index += 1
+            del self.step_seconds[self.step_index - 1:]
+            self.step_seconds.append(self.runner.step_seconds[-1]
+                                     + record.timing.recovery_seconds)
             self.time = self.runner.time
             if self.checkpointer is not None:
                 self.checkpointer.maybe_save_push(

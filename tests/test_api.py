@@ -68,6 +68,18 @@ class TestRunPush:
         assert report.recovery is not None
         assert report.recovery.completed
 
+    @pytest.mark.parametrize("fusion", [None, False, True])
+    def test_resilient_nsps_accounts_whole_steps(self, fusion):
+        # An unfused graph step is several launches; without faults the
+        # resilient report must average the same whole steps as single.
+        single = run_push(_config(device="iris-xe-max", fusion=fusion))
+        resilient = run_push(_config(devices=("iris-xe-max",),
+                                     fusion=fusion))
+        assert resilient.mode == "resilient"
+        assert resilient.digest == single.digest
+        assert resilient.nsps == single.nsps
+        assert resilient.first_step_nsps == single.first_step_nsps
+
     def test_sharded_run_shares_program_cache(self):
         report = run_push(_config(n_particles=8192,
                                   group="2x iris-xe-max", fusion=True))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.bench import (measure_real_nsps, nsps_from_records,
+from repro.bench import (measure_real_nsps, steady_nsps,
                          paper_time_step, paper_wave, runtime_config_for,
                          BenchmarkCase, PAPER_PARTICLES,
                          PAPER_STEPS_PER_ITERATION, PAPER_ITERATIONS)
@@ -80,7 +80,7 @@ class TestRuntimeConfigFor:
 
 
 class TestMetrics:
-    def test_nsps_from_records_skips_warmup(self):
+    def test_steady_nsps_skips_warmup_records(self):
         class FakeRecord:
             def __init__(self, value):
                 self._value = value
@@ -90,11 +90,11 @@ class TestMetrics:
 
         records = [FakeRecord(100.0), FakeRecord(50.0),
                    FakeRecord(1.0), FakeRecord(1.0)]
-        assert nsps_from_records(records) == pytest.approx(1.0)
+        assert steady_nsps(records) == pytest.approx(1.0)
 
-    def test_nsps_from_records_requires_records(self):
+    def test_steady_nsps_requires_records(self):
         with pytest.raises(ConfigurationError):
-            nsps_from_records([])
+            steady_nsps([])
 
     def test_measure_real_nsps_runs(self):
         ensemble = paper_ensemble(2000, Layout.SOA, Precision.DOUBLE)

@@ -8,20 +8,61 @@ from repro.errors import ConfigurationError
 from repro.fields import MDipoleWave
 from repro.fp import Precision
 from repro.oneapi import (Queue, RuntimeConfig, UsmMemoryManager,
-                          build_push_spec, build_virtual_push_spec,
-                          PushEngine, PUSH_FLOPS)
+                          build_push_spec, build_step_graph,
+                          build_step_specs, PushEngine, PUSH_FLOPS)
 from repro.oneapi.kernelspec import StreamKind
+from repro.oneapi.runtime import particle_streams
 from repro.particles import Layout
 from repro.particles.initializers import paper_benchmark_ensemble
 from tests.test_oneapi_device import make_device
 
 
+R, W, RW = StreamKind.READ, StreamKind.WRITE, StreamKind.READ_WRITE
+
+
+class TestParticleStreams:
+    @pytest.mark.parametrize("access,kind", [
+        ((("x", R), ("y", R)), R),
+        ((("gamma", W),), W),
+        ((("x", R), ("gamma", W)), RW),
+        ((("x", RW), ("type", R)), RW),
+    ])
+    def test_aos_record_takes_the_strongest_kind(self, access, kind):
+        [stream] = particle_streams(Layout.AOS, Precision.SINGLE, 10, access)
+        assert stream.kind is kind
+        assert stream.name == "particles-aos"
+        assert not stream.contiguous
+
+    def test_soa_keeps_the_listed_order(self):
+        streams = particle_streams(Layout.SOA, Precision.DOUBLE, 10,
+                                   (("type", R), ("x", RW)), suffix="@1")
+        assert [(s.name, s.kind, s.bytes_per_item) for s in streams] == \
+            [("soa-type@1", R, 2), ("soa-x@1", RW, 8)]
+
+    def test_allocation_follows_memory_and_ensemble(self, layout):
+        ensemble = paper_benchmark_ensemble(10, layout=layout)
+        args = (layout, ensemble.precision, 10, (("x", R),))
+        assert particle_streams(*args)[0].allocation is None
+        memory = UsmMemoryManager()
+        [virtual] = particle_streams(*args, memory)
+        assert virtual.allocation.array is None
+        assert virtual.allocation.nbytes == 10 * virtual.span_bytes_per_item
+        [bound] = particle_streams(*args, memory, ensemble)
+        assert bound.allocation.array is not None
+
+    def test_ensemble_must_match_the_shape(self):
+        ensemble = paper_benchmark_ensemble(10)
+        with pytest.raises(ConfigurationError):
+            particle_streams(Layout.SOA, ensemble.precision, 11,
+                             (("x", R),), UsmMemoryManager(), ensemble)
+
+
 class TestVirtualSpecs:
     def test_aos_single_stream(self):
         manager = UsmMemoryManager()
-        spec = build_virtual_push_spec(1000, Layout.AOS, Precision.SINGLE,
-                                       "analytical", manager,
-                                       field_flops=100)
+        spec = build_push_spec(1000, Layout.AOS, Precision.SINGLE,
+                               "analytical", manager,
+                               field_flops=100)
         assert len(spec.streams) == 1
         stream = spec.streams[0]
         assert stream.span_bytes_per_item == 36
@@ -29,10 +70,10 @@ class TestVirtualSpecs:
         assert not stream.contiguous
         assert spec.flops_per_item == PUSH_FLOPS + 100
 
-    def test_soa_stream_set(self):
+    def test_soa_has_one_stream_per_component(self):
         manager = UsmMemoryManager()
-        spec = build_virtual_push_spec(1000, Layout.SOA, Precision.DOUBLE,
-                                       "analytical", manager)
+        spec = build_push_spec(1000, Layout.SOA, Precision.DOUBLE,
+                               "analytical", manager)
         names = [s.name for s in spec.streams]
         assert "soa-x" in names and "soa-gamma" in names \
             and "soa-type" in names
@@ -41,9 +82,9 @@ class TestVirtualSpecs:
 
     def test_precalculated_adds_field_streams(self):
         manager = UsmMemoryManager()
-        analytical = build_virtual_push_spec(
+        analytical = build_push_spec(
             1000, Layout.SOA, Precision.SINGLE, "analytical", manager)
-        precalc = build_virtual_push_spec(
+        precalc = build_push_spec(
             1000, Layout.SOA, Precision.SINGLE, "precalculated", manager)
         field_streams = [s for s in precalc.streams
                          if s.name.startswith("fields")]
@@ -54,7 +95,7 @@ class TestVirtualSpecs:
 
     def test_aos_field_stream_interleaved(self):
         manager = UsmMemoryManager()
-        spec = build_virtual_push_spec(
+        spec = build_push_spec(
             1000, Layout.AOS, Precision.SINGLE, "precalculated", manager)
         fields = [s for s in spec.streams if s.name == "fields-aos"]
         assert len(fields) == 1
@@ -63,13 +104,13 @@ class TestVirtualSpecs:
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_virtual_push_spec(10, Layout.SOA, Precision.SINGLE,
-                                    "cached", UsmMemoryManager())
+            build_push_spec(10, Layout.SOA, Precision.SINGLE,
+                            "cached", UsmMemoryManager())
 
     def test_spec_name_identifies_configuration(self):
         manager = UsmMemoryManager()
-        spec = build_virtual_push_spec(10, Layout.AOS, Precision.DOUBLE,
-                                       "analytical", manager)
+        spec = build_push_spec(10, Layout.AOS, Precision.DOUBLE,
+                               "analytical", manager)
         assert spec.name == "boris-analytical-AoS-double"
 
 
@@ -77,7 +118,8 @@ class TestBoundSpecs:
     def test_streams_reference_live_allocations(self, layout):
         ensemble = paper_benchmark_ensemble(100, layout=layout)
         manager = UsmMemoryManager()
-        spec = build_push_spec(ensemble, "analytical", manager,
+        spec = build_push_spec(100, layout, ensemble.precision,
+                               "analytical", manager, ensemble=ensemble,
                                field_flops=50)
         for stream in spec.streams:
             assert stream.allocation is not None
@@ -86,15 +128,51 @@ class TestBoundSpecs:
     def test_precalculated_requires_array(self):
         ensemble = paper_benchmark_ensemble(10)
         with pytest.raises(ConfigurationError):
-            build_push_spec(ensemble, "precalculated", UsmMemoryManager())
+            build_push_spec(10, Layout.SOA, ensemble.precision,
+                            "precalculated", UsmMemoryManager(),
+                            ensemble=ensemble)
 
     def test_precalc_layout_mismatch_rejected(self):
         from repro.fields import PrecalculatedField
         ensemble = paper_benchmark_ensemble(10, layout=Layout.SOA)
         wrong = PrecalculatedField(10, ensemble.precision, Layout.AOS)
         with pytest.raises(ConfigurationError):
-            build_push_spec(ensemble, "precalculated", UsmMemoryManager(),
-                            precalc=wrong)
+            build_push_spec(10, Layout.SOA, ensemble.precision,
+                            "precalculated", UsmMemoryManager(),
+                            ensemble=ensemble, precalc=wrong)
+
+
+def _node_shape(node):
+    streams = tuple((s.name, s.kind, s.bytes_per_item, s.span_bytes_per_item,
+                     s.contiguous) for s in node.spec.streams)
+    return (node.tag, node.n_items, node.transient, node.spec.name,
+            node.spec.flops_per_item, streams)
+
+
+class TestStepGraph:
+    @pytest.mark.parametrize("diagnostics", [False, True])
+    @pytest.mark.parametrize("scenario", ["precalculated", "analytical"])
+    def test_timing_graph_is_the_engine_graph(self, layout, precision,
+                                              scenario, diagnostics):
+        # The autotuner prices build_step_graph without bodies; it must
+        # be, node for node, the graph the fused engine launches.
+        wave = MDipoleWave()
+        ensemble = paper_benchmark_ensemble(64, layout=layout,
+                                            precision=precision)
+        engine = PushEngine(Queue(make_device(), RuntimeConfig()), ensemble,
+                            scenario, wave, 1e-16, fusion=True,
+                            diagnostics=diagnostics)
+        field_flops = wave.flops_per_evaluation \
+            if scenario == "analytical" else 0.0
+        specs = build_step_specs(64, layout, precision, scenario,
+                                 field_flops, diagnostics)
+        timing = build_step_graph(specs, 64, layout, precision).nodes
+        launched = engine.record_graph().nodes
+        assert [_node_shape(n) for n in timing] == \
+            [_node_shape(n) for n in launched]
+        assert len(timing) == (3 if diagnostics else 2)
+        assert all(n.body is None for n in timing)
+        assert all(n.body is not None for n in launched)
 
 
 class TestPushEngine:

@@ -7,7 +7,7 @@ module makes that reasoning executable:
 
 1. :func:`enumerate_candidates` spans the space the facade can run:
    layout (AoS/SoA) x precision (float/double) x execution path
-   (legacy single-launch, graph unfused, graph fused) x SMT tiling
+   (graph unfused, graph fused) x SMT tiling
    (one or two threads per core, CPU single-device runs) x shard
    strategy (even/bandwidth/flops splits for device groups) x device
    (``RunConfig.tune_devices``, the backend axis — candidates may
@@ -42,9 +42,9 @@ from ..fp import Precision
 from ..observability.tracer import active_tracer
 from ..oneapi.costmodel import CostModel
 from ..oneapi.device import DeviceDescriptor, DeviceType
-from ..oneapi.graph import FusionPass, KernelGraph, KernelNode, unfused_plan
-from ..oneapi.runtime import (PRECALCULATED, build_push_spec,
-                              build_step_graph, build_step_specs)
+from ..oneapi.graph import FusionPass, KernelGraph, unfused_plan
+from ..oneapi.runtime import (PRECALCULATED, build_step_graph,
+                              build_step_specs)
 from ..particles.ensemble import Layout
 from .roofline import GraphRoofline, analyze_graph
 
@@ -55,10 +55,6 @@ __all__ = ["CALIBRATION_TOLERANCE", "Candidate", "CandidatePrediction",
 #: Default relative predicted-vs-measured NSPS disagreement above which
 #: the run is flagged as a cost-model calibration problem.
 CALIBRATION_TOLERANCE = 0.35
-
-#: Execution paths the facade can run: legacy single launch, graph
-#: unfused, graph fused (the RunConfig.fusion encoding).
-_FUSION_MODES = (None, False, True)
 
 #: Shard-split strategies the tuner prices for device groups.  The
 #: "nsps" rebalancer is excluded: it needs measured shard NSPS, which
@@ -80,7 +76,7 @@ class Candidate:
 
     layout: Layout
     precision: Precision
-    fusion: Optional[bool]
+    fusion: bool = True
     threads_per_unit: Optional[int] = None
     strategy: Optional[str] = None
     device: Optional[str] = None
@@ -88,8 +84,8 @@ class Candidate:
     @property
     def label(self) -> str:
         """Compact human-readable identity, e.g. ``SoA/float/fused``."""
-        path = {None: "legacy", False: "unfused", True: "fused"}[self.fusion]
-        parts = [self.layout.value, self.precision.value, path]
+        parts = [self.layout.value, self.precision.value,
+                 "fused" if self.fusion else "unfused"]
         if self.threads_per_unit is not None:
             parts.append(f"{self.threads_per_unit}t")
         if self.strategy is not None:
@@ -230,7 +226,7 @@ def enumerate_candidates(config) -> List[Candidate]:
                       device=spec)
             for layout in (Layout.AOS, Layout.SOA)
             for precision in (Precision.SINGLE, Precision.DOUBLE)
-            for fusion in _FUSION_MODES
+            for fusion in (False, True)
             for tiling in tilings
             for strategy in strategies)
     return candidates
@@ -241,20 +237,10 @@ def enumerate_candidates(config) -> List[Candidate]:
 def _candidate_graph(candidate: Candidate, config, n: int,
                      field_flops: float) -> KernelGraph:
     """The per-step kernel graph ``candidate`` would launch over ``n``
-    particles — the engine's legacy single launch as a one-node graph,
-    or the graph path's field-eval/push(/diagnostics) chain."""
-    scenario = config.scenario
+    particles: the engine's field-eval/push(/diagnostics) chain."""
     layout, precision = candidate.layout, candidate.precision
-    flops = field_flops if scenario != PRECALCULATED else 0.0
-    if candidate.fusion is None:
-        graph = KernelGraph()
-        graph.add(KernelNode(
-            spec=build_push_spec(n, layout, precision, scenario,
-                                 field_flops=flops),
-            n_items=n, layout=layout.value, precision=precision,
-            tag="push"))
-        return graph
-    specs = build_step_specs(n, layout, precision, scenario, flops,
+    flops = field_flops if config.scenario != PRECALCULATED else 0.0
+    specs = build_step_specs(n, layout, precision, config.scenario, flops,
                              config.diagnostics)
     return build_step_graph(specs, n, layout, precision)
 

@@ -129,12 +129,11 @@ class RunConfig:
         fault_plan: Named fault plan to inject (see
             :mod:`repro.resilience.plans`).
         fault_seed: Fault injector RNG seed.
-        fusion: Kernel-graph execution mode: True fuses compatible
-            kernels, False runs the graph unfused, None keeps the
-            legacy single-launch path (no graph, no program-cache
-            interplay beyond the queue's own).
+        fusion: True fuses compatible kernels of each step's graph,
+            False launches every node separately.
         diagnostics: Append the kinetic-energy diagnostic kernel to the
-            per-step graph (graph mode only).
+            per-step graph (single-device runs only: the resilient and
+            sharded engines do not record it).
         trace_path: Write a Chrome ``trace_event`` JSON here.
         checkpoint_every: Step-granular checkpoint cadence for the
             resilient/sharded engines (0 = no checkpointing).
@@ -191,7 +190,7 @@ class RunConfig:
     devices: Optional[Sequence[str]] = None
     fault_plan: Optional[str] = None
     fault_seed: int = 0
-    fusion: Optional[bool] = None
+    fusion: bool = True
     diagnostics: bool = False
     trace_path: Optional[str] = None
     checkpoint_every: int = 0
@@ -234,6 +233,11 @@ class RunConfig:
                 "program_cache and persist_cache are mutually "
                 "exclusive: a shared cache instance owns its own "
                 "persistence policy")
+        if self.diagnostics and self.mode != "single":
+            raise ConfigurationError(
+                "diagnostics applies to single-device runs only; the "
+                "resilient and sharded engines do not record the "
+                "kinetic-energy node")
         if self.threads_per_unit is not None:
             if self.threads_per_unit < 1:
                 raise ConfigurationError(
@@ -315,7 +319,7 @@ class RunReport:
     first_step_nsps: float
     simulated_seconds: float
     digest: str
-    fusion: Optional[bool] = None
+    fusion: bool = True
     fusion_groups: int = 0
     kernels_eliminated: int = 0
     cache_stats: Dict[str, float] = field(default_factory=dict)
@@ -357,17 +361,15 @@ class RunReport:
         scenario axes), a named ``metrics`` mapping and a per-cell
         tolerance.  This is the one adapter from a live
         :class:`RunReport` to that shape; ``config`` defaults to the
-        execution-path label (``legacy``/``unfused``/``fused``).
+        execution-path label (``unfused``/``fused``).
         """
         from .regress.baseline import backend_of_device
-        fusion_label = {None: "legacy", True: "fused", False: "unfused"}
         metrics: Dict[str, float] = {
             "nsps": float(self.nsps),
             "cold_nsps": float(self.first_step_nsps),
+            "fusion_groups": float(self.fusion_groups),
+            "kernels_eliminated": float(self.kernels_eliminated),
         }
-        if self.fusion is not None:
-            metrics["fusion_groups"] = float(self.fusion_groups)
-            metrics["kernels_eliminated"] = float(self.kernels_eliminated)
         if self.cache_stats:
             metrics["jit_seconds"] = float(
                 self.cache_stats.get("jit_seconds_charged", 0.0))
@@ -375,7 +377,7 @@ class RunReport:
             "suite": suite,
             "backend": backend_of_device(self.device),
             "device": self.device,
-            "config": config or fusion_label[self.fusion],
+            "config": config or ("fused" if self.fusion else "unfused"),
             "layout": self.layout, "precision": self.precision,
             "scenario": self.scenario,
             "metrics": metrics,
@@ -400,11 +402,13 @@ def _program_cache(config: RunConfig):
     return ProgramCache(persist_path=config.persist_cache)
 
 
-def _plan_stats(executor) -> Tuple[int, int]:
-    plan = getattr(executor, "last_plan", None) if executor else None
-    if plan is None:
-        return 0, 0
-    return plan.fused_group_count, plan.kernels_eliminated
+def _plan_stats(executors) -> Tuple[int, int]:
+    """Fused groups and kernels eliminated by the executors' last plans,
+    summed (one executor per shard in a sharded run)."""
+    plans = [executor.last_plan for executor in executors
+             if executor.last_plan is not None]
+    return (sum(plan.fused_group_count for plan in plans),
+            sum(plan.kernels_eliminated for plan in plans))
 
 
 def _steady_nsps(step_seconds: Sequence[float], n: int,
@@ -434,7 +438,7 @@ def _run_single(config: RunConfig, source, dt: float) -> "_RunOutcome":
                         fusion=config.fusion,
                         diagnostics=config.diagnostics)
     engine.run(config.warmup + config.steps)
-    groups, eliminated = _plan_stats(getattr(engine, "executor", None))
+    groups, eliminated = _plan_stats([engine.executor])
     n = config.n_particles
     report = RunReport(
         mode="single", scenario=config.scenario,
@@ -478,8 +482,7 @@ def _run_resilient(config: RunConfig, source, dt: float) -> "_RunOutcome":
                 Checkpointer(scratch, every=config.checkpoint_every))
     else:
         engine, report = drive(None)
-    groups, eliminated = _plan_stats(
-        getattr(engine.runner, "executor", None))
+    groups, eliminated = _plan_stats([engine.runner.executor])
     n = config.n_particles
     run_report = RunReport(
         mode="resilient", scenario=config.scenario,
@@ -515,25 +518,34 @@ def _run_sharded(config: RunConfig, source, dt: float) -> "_RunOutcome":
             group, ensemble, config.scenario, source, dt,
             strategy=strategy,
             checkpointer=checkpointer, fusion=config.fusion)
+        engine.run(1)
+        # The group's first step: JIT and cold pages, shards concurrent.
+        first_seconds = engine.simulated_seconds
         if config.warmup > 0:
             engine.run(config.warmup)
             engine.reset_measurement()
-        return engine, engine.run(config.warmup + config.steps)
+        return (engine, engine.run(config.warmup + config.steps),
+                first_seconds)
 
     if config.checkpoint_every > 0:
         with tempfile.TemporaryDirectory() as scratch:
-            engine, report = drive(Checkpointer(
+            engine, report, first_seconds = drive(Checkpointer(
                 scratch, every=config.checkpoint_every))
     else:
-        engine, report = drive(None)
+        engine, report, first_seconds = drive(None)
+    groups, eliminated = _plan_stats(
+        [s.runner.executor for s in engine.shards if s.runner is not None])
+    n = config.n_particles
     run_report = RunReport(
         mode="sharded", scenario=config.scenario,
         layout=config.layout.value, precision=config.precision.value,
-        device=config.group, n_particles=config.n_particles,
-        steps=config.steps, nsps=report.nsps, first_step_nsps=report.nsps,
+        device=config.group, n_particles=n,
+        steps=config.steps, nsps=report.nsps,
+        first_step_nsps=first_seconds * 1.0e9 / n,
         simulated_seconds=report.simulated_seconds,
         digest=state_digest(ensemble),
-        fusion=config.fusion,
+        fusion=config.fusion, fusion_groups=groups,
+        kernels_eliminated=eliminated,
         cache_stats=cache.stats.as_dict(), group_report=report)
     return run_report, ensemble, engine.queues()
 
@@ -785,7 +797,7 @@ def _execute_pic(config: PicConfig, validate: bool) -> PicReport:
         engine.step()
         history.record(simulation.time, simulation.grid,
                        simulation.ensembles)
-    groups, eliminated = _plan_stats(engine.executor)
+    groups, eliminated = _plan_stats([engine.executor])
     n = simulation.ensembles[0].size
     return PicReport(
         scenario=config.scenario, layout=config.layout.value,

@@ -45,7 +45,7 @@ drives a resilient push directly::
 ``python -m repro push`` is the facade command: one
 :class:`repro.api.RunConfig` driven end to end (single-device,
 resilient or sharded — the mode follows from the flags), with
-``--fusion/--no-fusion`` selecting the kernel-graph execution path and
+``--no-fusion`` launching each step's kernel graph unfused and
 ``--record`` regenerating the fused-vs-unfused comparison into
 ``benchmarks/BENCH_fusion.json``.
 
@@ -471,22 +471,19 @@ def _cmd_push(args: argparse.Namespace) -> None:
             f"Autotuner search — {report.tuning.mode} mode on "
             f"{report.tuning.target!r} (best first; see docs/TUNING.md)"))
         print()
-    fusion_label = {None: "legacy", True: "fused", False: "unfused"}
     rows = [
         ["mode", report.mode],
         ["device", report.device],
         ["scenario/layout/precision",
          f"{report.scenario}/{report.layout}/{report.precision}"],
-        ["execution", fusion_label[report.fusion]],
+        ["execution", "fused" if report.fusion else "unfused"],
         ["steady NSPS", f"{report.nsps:.3f}"],
         ["first-step NSPS (cold)", f"{report.first_step_nsps:.3f}"],
         ["simulated seconds", f"{report.simulated_seconds:.6f}"],
         ["state digest", report.digest[:16]],
+        ["fusion groups / kernels elided",
+         f"{report.fusion_groups} / {report.kernels_eliminated}"],
     ]
-    if report.fusion is not None:
-        rows.append(["fusion groups / kernels elided",
-                     f"{report.fusion_groups} / "
-                     f"{report.kernels_eliminated}"])
     if report.cache_stats:
         rows.append(["program cache",
                      f"{report.cache_stats['hits']:.0f} hits, "
@@ -828,11 +825,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="ensemble size (default 200000; "
                            "physics-carrying, so keep it modest)")
     push.add_argument("--fusion", action=argparse.BooleanOptionalAction,
-                      default=None,
-                      help="kernel-graph execution: --fusion fuses "
-                           "compatible kernels, --no-fusion runs the "
-                           "graph unfused; omit both for the legacy "
-                           "single-launch path")
+                      default=True,
+                      help="kernel-graph execution: --fusion (default) "
+                           "fuses compatible kernels, --no-fusion "
+                           "launches every node separately")
     push.add_argument("--auto", action="store_true",
                       help="let the roofline-driven autotuner pick "
                            "layout, precision and execution path "
@@ -842,7 +838,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "docs/TUNING.md)")
     push.add_argument("--diagnostics", action="store_true",
                       help="append the kinetic-energy diagnostic kernel "
-                           "to each step's graph")
+                           "to each step's graph (single-device runs "
+                           "only)")
     push.add_argument("--checkpoint-every", type=int, default=0,
                       help="step-granular checkpoint cadence for "
                            "resilient/sharded modes (default 0 = off)")
@@ -948,7 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cap on simulated device seconds the job "
                              "may consume (recovery cost included)")
     submit.add_argument("--fusion", action=argparse.BooleanOptionalAction,
-                        default=None,
+                        default=True,
                         help="kernel-graph execution mode (as in "
                              "'repro push')")
     submit.add_argument("--quiet", action="store_true",

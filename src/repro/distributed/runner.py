@@ -143,9 +143,9 @@ class ShardedPushEngine:
             Without one, a device loss propagates.
         retry_policy / watchdog: Transient-fault recovery knobs
             (defaults as in :mod:`repro.resilience.recovery`).
-        fusion: Kernel-graph execution mode of every shard's
-            :class:`~repro.oneapi.runtime.PushEngine` (None = legacy
-            single-launch path).  All shards share the group's
+        fusion: Run the fusion pass in every shard's
+            :class:`~repro.oneapi.runtime.PushEngine`.  All shards
+            share the group's
             :class:`~repro.oneapi.programcache.ProgramCache`, so only
             the first shard of each device model pays the JIT cost.
     """
@@ -159,7 +159,7 @@ class ShardedPushEngine:
                  checkpointer: Optional[Checkpointer] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  watchdog: Optional[Watchdog] = None,
-                 fusion: Optional[bool] = None) -> None:
+                 fusion: bool = True) -> None:
         if rebalance_every < 0:
             raise ConfigurationError(
                 f"rebalance_every must be >= 0, got {rebalance_every}")
@@ -377,8 +377,12 @@ class ShardedPushEngine:
                         policy=self.retry_policy, watchdog=self.watchdog,
                         stats=self.recovery_stats)
                 state.last_push = record.event
-                state.busy_seconds += record.simulated_seconds
-                state.nsps_samples.append(record.nsps())
+                # The whole step (every graph launch) plus the recovery
+                # cost run_with_retry folded into its last record.
+                seconds = state.runner.step_seconds[-1] \
+                    + record.timing.recovery_seconds
+                state.busy_seconds += seconds
+                state.nsps_samples.append(seconds * 1.0e9 / state.size)
                 state.steps += 1
             exchange_deps = [
                 [e for e in (s.last_push, s.last_exchange) if e is not None]

@@ -18,10 +18,10 @@ count, layout and precision plus what to attach to the streams:
 * neither gives a pure traffic/flop description, enough for the
   planning estimators and the autotuner.
 
-:func:`build_step_specs` and :func:`build_step_graph` describe one
-graph-mode push step; :meth:`PushEngine.record_graph` and the autotuner
-both build their graphs with them, so the tuner prices the graph the
-engine launches.
+:func:`build_step_specs` and :func:`build_step_graph` describe one push
+step; :meth:`PushEngine.record_graph` and the autotuner both build
+their graphs with them, so the tuner prices the graph the engine
+launches.
 """
 
 from __future__ import annotations
@@ -32,8 +32,10 @@ import numpy as np
 
 from ..core.kernels import (BORIS_FLOPS, DIAGNOSTIC_FLOPS,
                             FIELD_STAGE_FLOPS, GAMMA_FLOPS, POSITION_FLOPS,
-                            boris_push_analytical, boris_push_precalculated,
+                            boris_push_precalculated,
                             kinetic_energy_diagnostic, sample_fields)
+# Unused here; kept as a module global because perfbench/spans.py wraps it.
+from ..core.kernels import boris_push_analytical  # noqa: F401
 from ..errors import ConfigurationError
 from ..fields.base import FieldSource
 from ..fields.precalculated import PrecalculatedField
@@ -68,7 +70,7 @@ _PUSH_ACCESS = (("x", _RW), ("y", _RW), ("z", _RW), ("px", _RW),
                 ("py", _RW), ("pz", _RW), ("gamma", _W), ("type", _R))
 _DIAGNOSTICS_ACCESS = (("gamma", _R),)
 
-#: Node tags of a graph-mode push step, in recording order.
+#: Node tags of a push step, in recording order.
 _STEP_TAGS = ("field-eval", "push", "diagnostics")
 
 
@@ -257,7 +259,7 @@ def build_step_specs(n: int, layout: Layout, precision: Precision,
                      precalc: Optional[PrecalculatedField] = None,
                      energy: Optional[np.ndarray] = None
                      ) -> Tuple[KernelSpec, ...]:
-    """The specs of one graph-mode push step, in recording order.
+    """The specs of one push step, in recording order.
 
     Field-eval, push and (with ``diagnostics``) kinetic energy; built in
     this order so a bound step registers its allocations in it.  Both
@@ -281,7 +283,7 @@ def build_step_specs(n: int, layout: Layout, precision: Precision,
 def build_step_graph(specs: Sequence[KernelSpec], n: int, layout: Layout,
                      precision: Precision,
                      bodies: Sequence = (None, None, None)) -> KernelGraph:
-    """The :class:`KernelGraph` of one graph-mode push step.
+    """The :class:`KernelGraph` of one push step.
 
     ``specs`` comes from :func:`build_step_specs`; ``bodies`` are the
     nodes' kernels in the same order (None for a timing-only graph).
@@ -302,38 +304,30 @@ def build_step_graph(specs: Sequence[KernelSpec], n: int, layout: Layout,
 class PushEngine:
     """Drives real Boris steps through a queue.
 
-    Two execution paths share the same physics:
-
-    * **legacy** (``fusion=None``, the default): one timed launch per
-      step, exactly the paper's harness — in the precalculated scenario
-      the field refresh happens *untimed* between launches.
-    * **kernel graph** (``fusion=True``/``False``): each step is
-      recorded as a :class:`~repro.oneapi.graph.KernelGraph` — a timed
-      field-eval node staging the six per-particle field components,
-      the push node loading them, and (with ``diagnostics=True``) a
-      kinetic-energy node — and executed through a
-      :class:`~repro.oneapi.graph.GraphExecutor`.  With ``fusion=True``
-      the cost-model-driven pass merges the nodes, eliding the staged
-      field arrays; with ``False`` every node launches separately (the
-      fusion baseline).  Both run identical kernel bodies in identical
-      order, so fused and unfused state is bit-identical.
+    Each step is recorded as a :class:`~repro.oneapi.graph.KernelGraph`
+    — a timed field-eval node staging the six per-particle field
+    components, the push node loading them, and (with
+    ``diagnostics=True``) a kinetic-energy node — and executed through a
+    :class:`~repro.oneapi.graph.GraphExecutor`.  With ``fusion=True``
+    (the default) the cost-model-driven pass merges the nodes, eliding
+    the staged field arrays; with ``False`` every node launches
+    separately (the fusion baseline).  Both run identical kernel bodies
+    in identical order, so fused and unfused state is bit-identical.
 
     Args:
         queue: The simulated queue (device + runtime + scheduling).
         ensemble: The particle ensemble to advance.
         scenario: "precalculated" or "analytical".
-        source: The analytical field source (evaluated in-kernel in the
-            analytical scenario; sampled into the precalculated array
-            in the precalculated scenario).
+        source: The analytical field source, sampled into the
+            per-particle field array by the field-eval node.
         dt: Time step [s].
-        fusion: None = legacy single-launch path; True/False = graph
-            path with the fusion pass on/off.
-        diagnostics: Record the kinetic-energy node (graph path only).
+        fusion: Run the fusion pass over each step's graph.
+        diagnostics: Record the kinetic-energy node.
     """
 
     def __init__(self, queue: Queue, ensemble: ParticleEnsemble,
                  scenario: str, source: FieldSource, dt: float,
-                 fusion: Optional[bool] = None,
+                 fusion: bool = True,
                  diagnostics: bool = False) -> None:
         _check_scenario(scenario)
         self.queue = queue
@@ -342,43 +336,32 @@ class PushEngine:
         self.source = source
         self.dt = float(dt)
         self.time = 0.0
-        self.fusion = fusion
+        self.fusion = bool(fusion)
         self.diagnostics = bool(diagnostics)
-        #: Simulated seconds of each completed step — in graph mode a
-        #: step can span several launches, so per-record NSPS would
-        #: undercount it; consumers (the facade, the fusion bench)
-        #: average this instead.
+        #: Simulated seconds of each completed step — a step can span
+        #: several launches, so per-record NSPS would undercount it;
+        #: consumers (the facade, the fusion bench) average this instead.
         self.step_seconds: List[float] = []
-        self.executor: Optional[GraphExecutor] = None
-        self.diag_energy: Optional[np.ndarray] = None
-        shape = (ensemble.size, ensemble.layout, ensemble.precision)
+        # Both scenarios stage fields through the per-particle array;
+        # they differ only in the eval node's arithmetic.
+        self.precalc = PrecalculatedField(ensemble.size, ensemble.precision,
+                                          ensemble.layout)
+        self.diag_energy: Optional[np.ndarray] = np.zeros(
+            ensemble.size, dtype=ensemble.precision.dtype) \
+            if self.diagnostics else None
         field_flops = (source.flops_per_evaluation
                        if scenario == ANALYTICAL else 0.0)
-        # The graph path stages fields through the per-particle array in
-        # both scenarios (they differ only in the eval node's
-        # arithmetic); the legacy path only in the precalculated one.
-        self.precalc: Optional[PrecalculatedField] = PrecalculatedField(
-            ensemble.size, ensemble.precision, ensemble.layout) \
-            if fusion is not None or scenario == PRECALCULATED else None
-        if fusion is None:
-            self.spec = build_push_spec(*shape, scenario, queue.memory,
-                                        ensemble=ensemble,
-                                        precalc=self.precalc,
-                                        field_flops=field_flops)
-            return
-        if self.diagnostics:
-            self.diag_energy = np.zeros(ensemble.size,
-                                        dtype=ensemble.precision.dtype)
         self._specs = build_step_specs(
-            *shape, scenario, field_flops, self.diagnostics, queue.memory,
-            ensemble=ensemble, precalc=self.precalc, energy=self.diag_energy)
+            ensemble.size, ensemble.layout, ensemble.precision, scenario,
+            field_flops, self.diagnostics, queue.memory, ensemble=ensemble,
+            precalc=self.precalc, energy=self.diag_energy)
         self.spec = self._specs[1]
-        self.executor = GraphExecutor(queue, fusion=bool(fusion))
+        self.executor = GraphExecutor(queue, fusion=self.fusion)
 
     # -- graph recording ---------------------------------------------------
 
     def record_graph(self) -> KernelGraph:
-        """Record this step's kernel graph (graph path only)."""
+        """Record this step's kernel graph."""
         ensemble = self.ensemble
         time_now = self.time
         bodies = (
@@ -391,16 +374,15 @@ class PushEngine:
                                 ensemble.precision, bodies)
 
     def step(self, depends_on=None) -> KernelLaunchRecord:
-        """One timed push step (plus the untimed field refresh if any).
+        """One timed push step; returns the step's last launch record.
 
         ``depends_on`` (a list of :class:`~repro.oneapi.events.SimEvent`)
-        orders the launch after other commands on an out-of-order queue
+        orders the step after other commands on an out-of-order queue
         — the sharded runner uses it to serialize a shard's successive
         pushes while letting exchange commands overlap them.
 
         Under an active tracer the step appears as a ``runner``-category
-        span, with the untimed field refresh as a nested child — making
-        visible the host work the simulated clock deliberately excludes.
+        span around its graph launches.
 
         Under an active fault injector the step is a device-loss
         opportunity: the injector may kill the whole device here
@@ -412,36 +394,13 @@ class PushEngine:
             injector.on_device_step(self.queue.device.name)
         with trace_span(f"push-step:{self.scenario}", "runner",
                         step_time=self.time):
-            if self.executor is not None:
-                records = self.executor.run(self.record_graph(),
-                                            depends_on=depends_on)
-                self.time += self.dt
-                self.step_seconds.append(
-                    sum(r.simulated_seconds for r in records))
-                # The last record's event is the step's completion —
-                # what dependency chaining (the sharded runner) needs.
-                return records[-1]
-            if self.precalc is not None:
-                with trace_span("field-refresh", "runner"):
-                    self.precalc.refresh(self.source, self.ensemble,
-                                         self.time)
-
-                def kernel() -> None:
-                    boris_push_precalculated(self.ensemble, self.precalc,
-                                             self.dt)
-            else:
-                time_now = self.time
-
-                def kernel() -> None:
-                    boris_push_analytical(self.ensemble, self.source,
-                                          time_now, self.dt)
-            record = self.queue.parallel_for(
-                self.ensemble.size, self.spec, kernel=kernel,
-                precision=self.ensemble.precision,
-                depends_on=depends_on)
+            records = self.executor.run(self.record_graph(),
+                                        depends_on=depends_on)
         self.time += self.dt
-        self.step_seconds.append(record.simulated_seconds)
-        return record
+        self.step_seconds.append(sum(r.simulated_seconds for r in records))
+        # The last record's event is the step's completion — what
+        # dependency chaining (the sharded runner) needs.
+        return records[-1]
 
     def run(self, steps: int):
         """Run ``steps`` pushes; returns the list of launch records."""

@@ -91,9 +91,8 @@ class ResilientPushEngine:
             checkpoint before replaying on the next device.  Without
             one, recovery continues in place (a lost step never mutated
             the ensemble, so the physics stays correct either way).
-        fusion: Kernel-graph execution mode of the underlying
-            :class:`~repro.oneapi.runtime.PushEngine` (None = legacy
-            single-launch path).
+        fusion: Run the fusion pass in the underlying
+            :class:`~repro.oneapi.runtime.PushEngine`.
         program_cache: JIT program cache shared across the fallback
             chain's queue rebuilds; by default the engine owns one, so
             a re-lost-and-recovered device model never recompiles.
@@ -104,7 +103,7 @@ class ResilientPushEngine:
                  policy: Optional[RetryPolicy] = None,
                  watchdog: Optional[Watchdog] = None,
                  checkpointer: Optional[Checkpointer] = None,
-                 fusion: Optional[bool] = None,
+                 fusion: bool = True,
                  program_cache=None) -> None:
         if not devices:
             raise ConfigurationError("need at least one device in the chain")

@@ -5,7 +5,7 @@ The paper's core claim is that its implementation variants compute the
 as an executable check: one seeded ensemble
 (:func:`repro.bench.scenarios.paper_ensemble`) is pushed through every
 engine (single / resilient / sharded) x layout (AoS / SoA) x precision
-(float / double) x fusion mode (legacy / unfused / fused) combination,
+(float / double) x fusion mode (unfused / fused) combination,
 and each result is judged three ways:
 
 * **ULP distance** against the scalar reference — the same initial
@@ -14,9 +14,9 @@ and each result is judged three ways:
   The vectorized kernels run in *storage* precision with a different
   operation order, so agreement is bounded, not bitwise; the bound is
   the per-precision tolerance in :data:`ULP_TOLERANCES`.
-* **Digest equality** within bit-exact groups — fused, unfused and
-  legacy execution of the same layout x precision must produce
-  identical sha256 state digests (fusion never changes physics), every
+* **Digest equality** within bit-exact groups — fused and unfused
+  execution of the same layout x precision must produce identical
+  sha256 state digests (fusion never changes physics), every
   engine must match within the group, and the sharded gather must be
   bit-identical to the single-device run (the distributed layer's
   founding invariant).  Layouts must agree bitwise too: AoS and SoA
@@ -71,9 +71,6 @@ _COMPARED = ("x", "y", "z", "px", "py", "pz", "gamma")
 
 #: Fraction of a component's magnitude scale used as the spacing floor.
 _SCALE_FLOOR = 1e-3
-
-_FUSION_LABELS = {None: "legacy", False: "unfused", True: "fused"}
-
 
 def ulp_distance(result, reference) -> float:
     """Worst-case ULP distance between two same-shaped arrays.
@@ -221,7 +218,7 @@ def _make_queue(device_spec: str):
 
 
 def _drive(engine: str, ensemble: ParticleEnsemble, source, dt: float,
-           steps: int, fusion: Optional[bool], device: str,
+           steps: int, fusion: bool, device: str,
            group_spec: str) -> List:
     """Run ``steps`` pushes on ``ensemble``; return the queues used.
 
@@ -261,8 +258,7 @@ def run_differential(n: int = 192, steps: int = 3,
                      layouts: Sequence[Layout] = (Layout.AOS, Layout.SOA),
                      precisions: Sequence[Precision] = (Precision.SINGLE,
                                                         Precision.DOUBLE),
-                     fusion_modes: Sequence[Optional[bool]] = (None, False,
-                                                               True),
+                     fusion_modes: Sequence[bool] = (False, True),
                      tolerances: Optional[Dict[Precision, float]] = None,
                      devices: Optional[Sequence[str]] = None
                      ) -> DifferentialReport:
@@ -323,7 +319,7 @@ def run_differential(n: int = 192, steps: int = 3,
                     result = ComboResult(
                         engine=engine_label, layout=layout.value,
                         precision=precision.value,
-                        fusion=_FUSION_LABELS[fusion],
+                        fusion="fused" if fusion else "unfused",
                         max_ulp=max_ulp, worst_component=worst,
                         digest=digest, commands_checked=checked,
                         passed=passed,

@@ -44,6 +44,15 @@ class TestModeSelection:
         with pytest.raises(ConfigurationError):
             run_push(_config(group="2x cpu", devices=("cpu",)))
 
+    @pytest.mark.parametrize("mode", [dict(group="2x iris-xe-max"),
+                                      dict(devices=("iris-xe-max",)),
+                                      dict(fault_plan="transient")],
+                             ids=["group", "devices", "fault_plan"])
+    def test_diagnostics_outside_single_mode_rejected(self, mode):
+        # Only the single-device engine records the diagnostics node.
+        with pytest.raises(ConfigurationError, match="diagnostics"):
+            run_push(_config(diagnostics=True, **mode))
+
 
 class TestRunPush:
     def test_single_device_run(self):
@@ -68,7 +77,7 @@ class TestRunPush:
         assert report.recovery is not None
         assert report.recovery.completed
 
-    @pytest.mark.parametrize("fusion", [None, False, True])
+    @pytest.mark.parametrize("fusion", [False, True])
     def test_resilient_nsps_accounts_whole_steps(self, fusion):
         # An unfused graph step is several launches; without faults the
         # resilient report must average the same whole steps as single.
@@ -87,6 +96,25 @@ class TestRunPush:
         assert report.group_report.n_devices == 2
         # one device model => exactly one JIT compile across both shards
         assert report.cache_stats["misses"] == 1
+
+    @pytest.mark.parametrize("fusion", [False, True])
+    def test_sharded_report_cold_nsps_and_plan_stats(self, fusion):
+        from repro.distributed import DeviceGroup, ShardedPushEngine
+
+        report = run_push(_config(group="2x iris-xe-max", fusion=fusion))
+        engine = ShardedPushEngine(
+            DeviceGroup.from_spec("2x iris-xe-max"),
+            paper_ensemble(N, Layout.SOA, Precision.SINGLE),
+            "precalculated", paper_wave(), paper_time_step(),
+            fusion=fusion)
+        engine.run(1)
+        # Cold NSPS is the group's first step (JIT included), not the
+        # steady figure; plan stats sum over both shards' executors.
+        assert report.first_step_nsps == engine.simulated_seconds \
+            * 1.0e9 / N
+        assert report.first_step_nsps > report.nsps
+        assert (report.fusion_groups, report.kernels_eliminated) == \
+            ((2, 2) if fusion else (0, 0))
 
     def test_all_modes_agree_on_physics(self):
         digests = {
@@ -202,6 +230,6 @@ class TestCliNormalizedFlags:
     def test_push_fusion_flags(self):
         from repro.cli import build_parser
         parser = build_parser()
-        assert parser.parse_args(["push"]).fusion is None
+        assert parser.parse_args(["push"]).fusion is True
         assert parser.parse_args(["push", "--fusion"]).fusion is True
         assert parser.parse_args(["push", "--no-fusion"]).fusion is False

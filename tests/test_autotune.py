@@ -114,24 +114,24 @@ class TestSearch:
     def test_candidate_space_covers_all_axes(self):
         labels = {c.label
                   for c in enumerate_candidates(_config(device="cpu"))}
-        # CPU single-device: 2 layouts x 2 precisions x 3 paths
+        # CPU single-device: 2 layouts x 2 precisions x 2 paths
         # x 2 SMT tilings
-        assert len(labels) == 24
+        assert len(labels) == 16
         assert "SoA/float/fused" in labels
-        assert "AoS/double/legacy/1t" in labels
+        assert "AoS/double/unfused/1t" in labels
 
     def test_gpu_has_no_smt_axis(self):
         labels = {c.label
                   for c in enumerate_candidates(
                       _config(device="iris-xe-max"))}
-        assert len(labels) == 12
+        assert len(labels) == 8
         assert not any("1t" in label for label in labels)
 
     def test_sharded_space_includes_strategies(self):
         labels = {c.label
                   for c in enumerate_candidates(
                       _config(group="cpu, iris-xe-max"))}
-        assert len(labels) == 36
+        assert len(labels) == 24
         assert "SoA/float/fused/even" in labels
         assert "SoA/float/fused/bandwidth" in labels
 

@@ -265,7 +265,7 @@ class TestCrossBackendExecution:
         report = run_differential(
             n=64, steps=2, engines=("single",),
             layouts=(Layout.SOA,), precisions=(Precision.SINGLE,),
-            fusion_modes=(None, True),
+            fusion_modes=(False, True),
             devices=("iris-xe-max", "cuda:gpu0", "cuda:gpu1"))
         assert report.all_passed
         labels = {result.engine for result in report.results}

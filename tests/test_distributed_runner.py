@@ -103,6 +103,23 @@ def test_reset_measurement_excludes_jit_warmup():
     assert steady < cold
 
 
+@pytest.mark.parametrize("fusion", [False, True])
+def test_shard_busy_seconds_cover_every_launch(fusion):
+    # An unfused step is two launches (field-eval + push); a shard's
+    # busy time must book both, after the warm-up reset too.
+    runner = _runner("2x iris-xe-max", n=20_000, fusion=fusion)
+    runner.run(2)
+    runner.reset_measurement()
+    report = runner.run(2 + STEPS)
+    for shard, member in zip(report.shards, runner.group.members):
+        launches = [r.simulated_seconds for r in member.queue.records]
+        assert len(launches) == STEPS * (1 if fusion else 2)
+        assert shard.busy_seconds == pytest.approx(sum(launches),
+                                                   rel=1e-12)
+        assert shard.mean_nsps == pytest.approx(
+            sum(launches) * 1.0e9 / (shard.particles * STEPS), rel=1e-12)
+
+
 def test_overlap_beats_bulk_synchronous():
     overlapped = _runner("2x iris-xe-max", n=50_000, overlap=True)
     synchronous = _runner("2x iris-xe-max", n=50_000, overlap=False)

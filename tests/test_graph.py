@@ -5,8 +5,8 @@ precision / barrier / item-count), spec merging with transient-stream
 elision, cost-model-driven planning, cold-vs-warm program-cache
 accounting (including the on-disk persistence round trip and cache
 sharing across a device group's shards), and the bit-exactness bar —
-fused, unfused and legacy execution must produce byte-identical
-particle state.
+fused and unfused execution must produce byte-identical particle
+state.
 """
 
 import numpy as np
@@ -336,13 +336,13 @@ def _engine(fusion, n=4096, scenario="precalculated", diagnostics=False,
 
 class TestGraphExecution:
     @pytest.mark.parametrize("scenario", ["precalculated", "analytical"])
-    def test_fused_unfused_legacy_bit_identical(self, scenario):
+    def test_fused_unfused_bit_identical(self, scenario):
         digests = {}
-        for mode in (None, False, True):
+        for mode in (False, True):
             engine = _engine(mode, scenario=scenario)
             engine.run(5)
             digests[mode] = state_digest(engine.ensemble)
-        assert digests[True] == digests[False] == digests[None]
+        assert digests[True] == digests[False]
 
     def test_unfused_launches_every_node(self):
         engine = _engine(False, diagnostics=True)

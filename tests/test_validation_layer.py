@@ -226,7 +226,7 @@ class TestUlpDistance:
 class TestDifferentialSweep:
     def test_full_small_sweep_passes(self):
         report = run_differential(n=32, steps=2)
-        assert len(report.results) == 36    # 3 engines x 2 x 2 x 3 fusion
+        assert len(report.results) == 24    # 3 engines x 2 x 2 x 2 fusion
         assert report.all_passed, report.render()
         # bit-exact groups: 4 within-(layout, precision) + 2 cross-layout
         assert len(report.digest_checks) == 6
@@ -250,7 +250,7 @@ class TestDifferentialSweep:
                                   engines=("single",),
                                   layouts=(Layout.SOA,),
                                   precisions=(Precision.SINGLE,),
-                                  fusion_modes=(None,),
+                                  fusion_modes=(True,),
                                   tolerances={Precision.SINGLE: 0.0})
         assert not report.all_passed
         assert any(not r.passed for r in report.results)
